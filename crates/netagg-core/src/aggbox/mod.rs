@@ -6,4 +6,4 @@ pub mod tree;
 
 pub mod runtime;
 
-pub use runtime::{AggBox, AggBoxConfig, BoxSnapshot, BoxStats, ChildBoxInfo, RouteInstall};
+pub use runtime::{AggBox, AggBoxConfig, BoxSnapshot, BoxStats, RouteInstall};

@@ -10,7 +10,9 @@
 
 use crate::aggbox::scheduler::{SchedulerConfig, TaskScheduler};
 use crate::aggbox::tree::{LocalAggTree, TraceTarget};
-use crate::ledger::{ChunkDisposition, FanInLedger, RepointOutcome};
+use crate::conn_cache::ConnCache;
+use crate::fanin::{repoint_in_flight, select_stragglers, FanInRoute};
+use crate::ledger::{ChunkDisposition, FanInLedger};
 use crate::lifecycle::{
     CancelToken, JoinScope, Mailbox, OrderedMutex, OrderedRwLock, OverflowPolicy,
     DEFAULT_JOIN_DEADLINE,
@@ -22,7 +24,7 @@ use netagg_net::lock_order;
 use netagg_net::{Connection, NetError, NodeId, Transport};
 use netagg_obs::trace::{self, TraceCtx, TraceRecorder};
 use netagg_obs::{names, Counter, Histogram, MetricsRegistry};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
@@ -74,43 +76,6 @@ impl AggBoxConfig {
     }
 }
 
-/// Information about one child box of this box within a tree, used by the
-/// straggler/failure machinery. The structure is recursive: when a child
-/// box fails, its parent *adopts* the grandchild box infos so a later
-/// failure of one of those can be re-pointed too (chained failures).
-#[derive(Debug, Clone, Default)]
-pub struct ChildBoxInfo {
-    /// The logical sources feeding that child (its direct children:
-    /// workers and boxes). On failure these move into the parent's owed
-    /// set (see `crate::ledger::FanInLedger::repoint`).
-    pub behind_sources: Vec<SourceId>,
-    /// Transport addresses of its children (workers and boxes).
-    pub children_addrs: Vec<NodeId>,
-    /// The child's own child boxes, adopted on its failure.
-    pub child_boxes: HashMap<u32, ChildBoxInfo>,
-}
-
-impl ChildBoxInfo {
-    /// Build the recursive info for `box_id` within `spec`, resolving
-    /// worker addresses for one application.
-    pub fn from_spec(spec: &crate::tree::TreeSpec, app: AppId, box_id: u32) -> Self {
-        let child_boxes = spec
-            .tree_box(box_id)
-            .map(|tb| {
-                tb.box_children
-                    .iter()
-                    .map(|c| (*c, ChildBoxInfo::from_spec(spec, app, *c)))
-                    .collect()
-            })
-            .unwrap_or_default();
-        Self {
-            behind_sources: spec.children_sources(box_id),
-            children_addrs: spec.children_addrs(app, box_id),
-            child_boxes,
-        }
-    }
-}
-
 /// Per-(app, tree) routing state installed at deployment time.
 #[derive(Debug, Clone)]
 pub struct RouteInstall {
@@ -120,21 +85,12 @@ pub struct RouteInstall {
     pub tree: TreeId,
     /// Where this box's output goes (next box or master shim address).
     pub parent: NodeId,
-    /// The distinct sources expected per request (workers and child
-    /// boxes). Requests seed their fan-in ledger from this set.
-    pub owed: Vec<SourceId>,
-    /// Child boxes by global box id.
-    pub child_boxes: HashMap<u32, ChildBoxInfo>,
+    /// The sources expected per request and the child boxes behind them.
+    /// Requests seed their fan-in ledger from its owed set.
+    pub fanin: FanInRoute,
     /// Addresses of this box's direct children (workers and boxes), used
     /// to replicate broadcasts down the tree.
     pub children_addrs: Vec<NodeId>,
-}
-
-struct Route {
-    parent: NodeId,
-    owed: HashSet<SourceId>,
-    child_boxes: HashMap<u32, ChildBoxInfo>,
-    children_addrs: Vec<NodeId>,
 }
 
 /// Trace anchor of one sampled request at this box: the per-request span
@@ -301,7 +257,7 @@ struct Inner {
     transport: Arc<dyn Transport>,
     scheduler: Arc<TaskScheduler>,
     apps: OrderedRwLock<HashMap<AppId, Arc<dyn DynAggregator>>>,
-    routes: OrderedRwLock<HashMap<(AppId, TreeId), Route>>,
+    routes: OrderedRwLock<HashMap<(AppId, TreeId), RouteInstall>>,
     states: OrderedMutex<HashMap<(AppId, RequestId, TreeId), ReqState>>,
     /// Per-request output redirections (straggler bypass upstream of us).
     out_redirects: OrderedMutex<HashMap<(AppId, RequestId, TreeId), NodeId>>,
@@ -435,15 +391,10 @@ impl AggBox {
 
     /// Install routing for one (application, tree).
     pub fn install_route(&self, route: RouteInstall) {
-        self.inner.routes.write().insert(
-            (route.app, route.tree),
-            Route {
-                parent: route.parent,
-                owed: route.owed.into_iter().collect(),
-                child_boxes: route.child_boxes,
-                children_addrs: route.children_addrs,
-            },
-        );
+        self.inner
+            .routes
+            .write()
+            .insert((route.app, route.tree), route);
     }
 
     /// React to a confirmed failure of a child box: future requests expect
@@ -872,56 +823,42 @@ fn child_box_failed(inner: &Arc<Inner>, app: AppId, tree: TreeId, failed_box: u3
     let mut repointed = 0u64;
     {
         let mut states = inner.states.lock();
-        let info = {
-            let mut routes = inner.routes.write();
-            let Some(r) = routes.get_mut(&(app, tree)) else {
-                return;
-            };
-            // Absent entry = already handled (repeated detector firing or a
-            // straggler escalation that raced the failure detector).
-            let Some(info) = r.child_boxes.remove(&failed_box) else {
-                return;
-            };
-            r.owed.remove(&SourceId::Box(failed_box));
-            for s in &info.behind_sources {
-                r.owed.insert(*s);
-            }
-            for (id, gi) in &info.child_boxes {
-                r.child_boxes.insert(*id, gi.clone());
-            }
-            info
+        // `None` = already handled (repeated detector firing or a
+        // straggler escalation that raced the failure detector).
+        let Some(behind) = inner
+            .routes
+            .write()
+            .get_mut(&(app, tree))
+            .and_then(|r| r.fanin.fail_child(failed_box))
+        else {
+            return;
         };
         for ((a, req, t), st) in states.iter_mut() {
             if *a != app || *t != tree || st.input_closed {
                 continue;
             }
-            match st
-                .ledger
-                .repoint(SourceId::Box(failed_box), &info.behind_sources)
-            {
-                RepointOutcome::Moved { .. } | RepointOutcome::DuplicateSuppressed => {
-                    repointed += 1;
-                    // Mark the adoption inside the request's trace so the
-                    // stitched tree shows where obligations moved.
-                    if let (Some(o), Some(rt)) = (&inner.obs, st.trace) {
-                        let now = trace::now_ns();
-                        o.tracer.record_span(
-                            names::spans::BOX_REPOINT,
-                            &o.component,
-                            rt.trace_id,
-                            o.tracer.next_span_id(),
-                            rt.span_id,
-                            req.0,
-                            now,
-                            now,
-                        );
-                    }
+            let step = repoint_in_flight(&mut st.ledger, SourceId::Box(failed_box), &behind);
+            if step.moved {
+                repointed += 1;
+                // Mark the adoption inside the request's trace so the
+                // stitched tree shows where obligations moved.
+                if let (Some(o), Some(rt)) = (&inner.obs, st.trace) {
+                    let now = trace::now_ns();
+                    o.tracer.record_span(
+                        names::spans::BOX_REPOINT,
+                        &o.component,
+                        rt.trace_id,
+                        o.tracer.next_span_id(),
+                        rt.span_id,
+                        req.0,
+                        now,
+                        now,
+                    );
                 }
-                RepointOutcome::AlreadyRepointed | RepointOutcome::NotOwed => {}
             }
-            if st.ledger.is_complete() {
+            if step.complete {
                 st.input_closed = true;
-                to_close.push((*req, st.tree.clone()));
+                to_close.push(st.tree.clone());
             }
         }
     }
@@ -936,7 +873,7 @@ fn child_box_failed(inner: &Arc<Inner>, app: AppId, tree: TreeId, failed_box: u3
             ),
         );
     }
-    for (_, t) in to_close {
+    for t in to_close {
         close_input(inner, Some(t), app);
     }
 }
@@ -959,7 +896,13 @@ fn get_or_create<'a>(
             // children are).
             let owed: Vec<SourceId> = {
                 let routes = inner.routes.read();
-                routes.get(&(app, tree))?.owed.iter().copied().collect()
+                routes
+                    .get(&(app, tree))?
+                    .fanin
+                    .owed
+                    .iter()
+                    .copied()
+                    .collect()
             };
             let ltree = LocalAggTree::new(agg, inner.cfg.fanin);
             // Trace anchor: one `span.box.request` per sampled request,
@@ -1096,42 +1039,15 @@ fn get_or_create<'a>(
 }
 
 fn egress_loop(inner: &Arc<Inner>) {
-    let mut conns: HashMap<NodeId, Box<dyn Connection>> = HashMap::new();
+    // Owned by the egress thread: its connections close when it exits.
+    let conns = ConnCache::new(inner.transport.clone(), inner.cfg.addr);
     loop {
         // Blocks until a message arrives; cancellation wakes it immediately
         // (the mailbox is bound to the box's token).
         let Ok((dest, msg)) = inner.egress.recv() else {
             return; // cancelled or closed
         };
-        let frame = msg.encode();
-        let mut sent = false;
-        for attempt in 0..2 {
-            let conn = match conns.entry(dest) {
-                std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    match inner.transport.connect(inner.cfg.addr, dest) {
-                        Ok(c) => v.insert(c),
-                        Err(_) => {
-                            if attempt == 1 {
-                                break;
-                            }
-                            std::thread::sleep(Duration::from_millis(10));
-                            continue;
-                        }
-                    }
-                }
-            };
-            match conn.send(frame.clone()) {
-                Ok(()) => {
-                    sent = true;
-                    break;
-                }
-                Err(_) => {
-                    conns.remove(&dest); // stale connection: redial once
-                }
-            }
-        }
-        if !sent {
+        if conns.send(dest, msg.encode()).is_err() {
             inner.stats.send_errors.fetch_add(1, Ordering::Relaxed);
             if let Some(o) = &inner.obs {
                 o.send_errors.inc();
@@ -1247,36 +1163,22 @@ fn straggler_loop(inner: &Arc<Inner>) {
             // Lock order: states before routes (matches child_box_failed).
             let mut states = inner.states.lock();
             let routes = inner.routes.read();
-            for ((app, request, tree), st) in states.iter_mut() {
+            for (&(app, request, tree), st) in states.iter_mut() {
                 if st.input_closed
                     || st.first_data.elapsed() < threshold
                     || st.ledger.seen_len() == 0
                 {
                     continue;
                 }
-                let Some(route) = routes.get(&(*app, *tree)) else {
+                let Some(route) = routes.get(&(app, tree)) else {
                     continue;
                 };
-                for (box_id, info) in &route.child_boxes {
-                    let src = SourceId::Box(*box_id);
-                    if st.ledger.has_seen(&src) || st.ledger.was_repointed(&src) {
-                        continue; // it has delivered something, or already bypassed
-                    }
-                    // Move the straggling box's obligations to its children
-                    // for this request only; redirect only when the ledger
-                    // actually owed the box (subset requests may not).
-                    if let RepointOutcome::Moved { .. } =
-                        st.ledger.repoint(src, &info.behind_sources)
-                    {
-                        redirects.push((
-                            *app,
-                            *request,
-                            *tree,
-                            *box_id,
-                            info.children_addrs.clone(),
-                        ));
-                    }
-                }
+                let bypassed = select_stragglers(&mut st.ledger, &route.fanin.child_boxes, |s| s);
+                redirects.extend(
+                    bypassed
+                        .into_iter()
+                        .map(|(box_id, children)| (app, request, tree, box_id, children)),
+                );
             }
         }
         for (app, request, tree, box_id, children) in redirects {

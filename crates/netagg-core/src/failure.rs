@@ -112,59 +112,17 @@ pub struct FailureDetector {
 }
 
 impl FailureDetector {
-    /// Start probing `children` from `self_addr`. On a confirmed failure,
-    /// redirect messages (permanent) are sent to the failed box's children
-    /// pointing them at `redirect_to`, and `on_failed(box_id)` is invoked
-    /// once so the owner can adjust its expected sources.
+    /// Start probing the live `children` set from `self_addr`: children
+    /// added to the set while the detector runs are picked up on the next
+    /// probe round (recovery logic uses this to adopt the children of a
+    /// failed box). On a confirmed failure, redirect messages (permanent)
+    /// are sent to the failed box's children pointing them at
+    /// `redirect_to`, and `on_failed(box_id)` is invoked once so the owner
+    /// can adjust its expected sources. With `obs`, publishes
+    /// `failure.detections` / `failure.repoints` metrics and `failure`
+    /// events.
+    #[allow(clippy::too_many_arguments)]
     pub fn start(
-        transport: Arc<dyn Transport>,
-        self_addr: NodeId,
-        redirect_to: NodeId,
-        children: Vec<WatchedChild>,
-        cfg: DetectorConfig,
-        on_failed: Box<dyn Fn(u32) + Send>,
-    ) -> Self {
-        Self::start_with_obs(
-            transport,
-            self_addr,
-            redirect_to,
-            children,
-            cfg,
-            on_failed,
-            None,
-        )
-    }
-
-    /// Like [`FailureDetector::start`], but additionally publishing
-    /// `failure.detections` / `failure.repoints` metrics (and `failure`
-    /// events) to `obs`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn start_with_obs(
-        transport: Arc<dyn Transport>,
-        self_addr: NodeId,
-        redirect_to: NodeId,
-        children: Vec<WatchedChild>,
-        cfg: DetectorConfig,
-        on_failed: Box<dyn Fn(u32) + Send>,
-        obs: Option<MetricsRegistry>,
-    ) -> Self {
-        Self::start_watching(
-            transport,
-            self_addr,
-            redirect_to,
-            WatchSet::new(children),
-            cfg,
-            on_failed,
-            obs,
-        )
-    }
-
-    /// Like [`FailureDetector::start_with_obs`], but probing a live
-    /// [`WatchSet`]: children added to the set while the detector runs
-    /// are picked up on the next probe round (recovery logic uses this
-    /// to adopt the children of a failed box).
-    #[allow(clippy::too_many_arguments)]
-    pub fn start_watching(
         transport: Arc<dyn Transport>,
         self_addr: NodeId,
         redirect_to: NodeId,
@@ -367,12 +325,12 @@ mod tests {
             transport,
             999,
             999,
-            vec![WatchedChild {
+            WatchSet::new(vec![WatchedChild {
                 box_id: 0,
                 addr: b.addr(),
                 children_addrs: vec![],
                 apps_trees: vec![],
-            }],
+            }]),
             DetectorConfig {
                 interval: Duration::from_millis(20),
                 timeout: Duration::from_millis(100),
@@ -381,6 +339,7 @@ mod tests {
             Box::new(move |_| {
                 f2.fetch_add(1, Ordering::SeqCst);
             }),
+            None,
         );
         std::thread::sleep(Duration::from_millis(300));
         det.stop();
@@ -404,12 +363,12 @@ mod tests {
             transport,
             999,
             999,
-            vec![WatchedChild {
+            WatchSet::new(vec![WatchedChild {
                 box_id: 0,
                 addr: b.addr(),
                 children_addrs: vec![],
                 apps_trees: vec![],
-            }],
+            }]),
             DetectorConfig {
                 interval: Duration::from_millis(20),
                 timeout: Duration::from_millis(60),
@@ -419,6 +378,7 @@ mod tests {
                 assert_eq!(id, 0);
                 f2.fetch_add(1, Ordering::SeqCst);
             }),
+            None,
         );
         std::thread::sleep(Duration::from_millis(150));
         ctl.kill(b.addr());

@@ -73,7 +73,9 @@
 #![warn(missing_docs)]
 
 pub mod aggbox;
+pub mod conn_cache;
 pub mod failure;
+pub mod fanin;
 pub mod laws;
 pub mod ledger;
 pub mod lifecycle;

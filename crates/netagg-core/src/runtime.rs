@@ -1,10 +1,11 @@
 //! Deployment wiring: launch agg boxes over a transport, register
 //! applications, hand out shims, and (optionally) arm failure detection.
 
-use crate::aggbox::runtime::{ChildBoxInfo, RouteInstall};
+use crate::aggbox::runtime::RouteInstall;
 use crate::aggbox::scheduler::SchedulerConfig;
 use crate::aggbox::{AggBox, AggBoxConfig};
 use crate::failure::{DetectorConfig, FailureDetector, WatchSet, WatchedChild};
+use crate::fanin::FanInRoute;
 use crate::protocol::AppId;
 use crate::shim::{MasterShim, MasterShimConfig, TreeSelection, WorkerShim};
 use crate::straggler::StragglerPolicy;
@@ -45,8 +46,6 @@ impl Default for DeploymentConfig {
 
 struct AppRecord {
     id: AppId,
-    #[allow(dead_code)]
-    name: String,
     agg: Arc<dyn DynAggregator>,
 }
 
@@ -123,7 +122,7 @@ impl NetAggDeployment {
 
     /// Register an application: installs its aggregation function and the
     /// per-tree routes on every box. Returns the application id.
-    pub fn register_app(&mut self, name: &str, agg: Arc<dyn DynAggregator>, share: f64) -> AppId {
+    pub fn register_app(&mut self, _name: &str, agg: Arc<dyn DynAggregator>, share: f64) -> AppId {
         let app = AppId(self.next_app);
         self.next_app += 1;
         for b in &self.boxes {
@@ -134,26 +133,16 @@ impl NetAggDeployment {
                 let Some(aggbox) = self.boxes.iter().find(|b| b.box_id() == tb.box_id) else {
                     continue;
                 };
-                let child_boxes: HashMap<u32, ChildBoxInfo> = tb
-                    .box_children
-                    .iter()
-                    .map(|c| (*c, ChildBoxInfo::from_spec(spec, app, *c)))
-                    .collect();
                 aggbox.install_route(RouteInstall {
                     app,
                     tree: spec.tree,
                     parent: spec.parent_addr(app, tb.box_id),
-                    owed: spec.children_sources(tb.box_id),
-                    child_boxes,
+                    fanin: FanInRoute::for_box(spec, app, tb.box_id),
                     children_addrs: spec.children_addrs(app, tb.box_id),
                 });
             }
         }
-        self.apps.push(AppRecord {
-            id: app,
-            name: name.to_string(),
-            agg,
-        });
+        self.apps.push(AppRecord { id: app, agg });
         app
     }
 
@@ -218,7 +207,7 @@ impl NetAggDeployment {
             let shim2 = shim.clone();
             let specs = self.specs.clone();
             let adopt = watch.clone();
-            self.detectors.push(FailureDetector::start_watching(
+            self.detectors.push(FailureDetector::start(
                 self.transport.clone(),
                 master_addr(app),
                 master_addr(app),
@@ -278,7 +267,7 @@ impl NetAggDeployment {
             let specs = self.specs.clone();
             let apps2 = apps.clone();
             let adopt = watch.clone();
-            self.detectors.push(FailureDetector::start_watching(
+            self.detectors.push(FailureDetector::start(
                 self.transport.clone(),
                 aggbox.addr(),
                 aggbox.addr(),

@@ -6,8 +6,9 @@
 //! empty per-worker results. It is also the parent of the root boxes, so
 //! it runs the same straggler bypass the boxes do.
 
-use crate::aggbox::runtime::ChildBoxInfo;
-use crate::ledger::{ChunkDisposition, FanInLedger, RepointOutcome};
+use crate::conn_cache::ConnCache;
+use crate::fanin::{repoint_in_flight, select_stragglers, FanInRoute};
+use crate::ledger::{ChunkDisposition, FanInLedger};
 use crate::lifecycle::{CancelToken, JoinScope, OrderedMutex, WakerGuard, DEFAULT_JOIN_DEADLINE};
 use crate::protocol::{AppId, Message, RequestId, SourceId, TreeId};
 use crate::shim::worker::per_request_tree;
@@ -133,14 +134,6 @@ impl MasterObs {
     }
 }
 
-struct TreeRoute {
-    /// The logical contributors the master is owed per request on this
-    /// tree (root boxes and direct workers). Updated when a root box
-    /// fails; new requests seed their ledger from it.
-    owed: std::collections::HashSet<SourceId>,
-    child_boxes: HashMap<u32, ChildBoxInfo>,
-}
-
 /// Trace anchor of one sampled request at the master: the root span's id
 /// is the trace id itself (DESIGN.md §11), so only the start is kept.
 #[derive(Debug, Clone, Copy)]
@@ -178,10 +171,11 @@ struct Inner {
     app: AppId,
     addr: NodeId,
     agg: Arc<dyn DynAggregator>,
-    transport: Arc<dyn Transport>,
     cfg: MasterShimConfig,
     specs: Vec<TreeSpec>,
-    routes: OrderedMutex<HashMap<TreeId, TreeRoute>>,
+    /// Per-tree fan-in routes: root boxes and direct workers. Updated
+    /// when a root box fails; new requests seed their ledger from it.
+    routes: OrderedMutex<HashMap<TreeId, FanInRoute>>,
     pending: OrderedMutex<HashMap<RequestId, Pending>>,
     /// Recently delivered request ids (reaped from `pending` by `wait`).
     /// Late replayed chunks for these are duplicates and must not
@@ -191,10 +185,9 @@ struct Inner {
     cv: Condvar,
     num_trees: u32,
     cancel: CancelToken,
-    /// Cached control-plane connections (RequestMeta, Broadcast, straggler
-    /// redirects), one per destination. Persistent connections keep
-    /// control traffic ordered per peer and avoid a dial per message.
-    ctrl_conns: OrderedMutex<HashMap<NodeId, Box<dyn Connection>>>,
+    /// Control-plane connections (RequestMeta, Broadcast, straggler
+    /// redirects), one per destination.
+    ctrl: ConnCache,
     obs: Option<MasterObs>,
 }
 
@@ -224,22 +217,10 @@ impl MasterShim {
     ) -> Result<Arc<Self>, NetError> {
         let addr = master_addr(app);
         let mut listener = transport.bind(addr)?;
-        let mut routes = HashMap::new();
-        for spec in specs {
-            let mut child_boxes = HashMap::new();
-            for b in &spec.boxes {
-                if b.parent == crate::tree::Parent::Master && b.expected_sources() > 0 {
-                    child_boxes.insert(b.box_id, ChildBoxInfo::from_spec(spec, app, b.box_id));
-                }
-            }
-            routes.insert(
-                spec.tree,
-                TreeRoute {
-                    owed: spec.master_sources().into_iter().collect(),
-                    child_boxes,
-                },
-            );
-        }
+        let routes = specs
+            .iter()
+            .map(|spec| (spec.tree, FanInRoute::for_master(spec, app)))
+            .collect();
         let obs = cfg.obs.clone().map(|reg| MasterObs::new(reg, app));
         let cancel = CancelToken::new();
         let scope = JoinScope::with_obs(
@@ -252,7 +233,7 @@ impl MasterShim {
             app,
             addr,
             agg,
-            transport,
+            ctrl: ConnCache::new(transport, addr),
             cfg,
             specs: specs.to_vec(),
             routes: OrderedMutex::new(lock_order::MASTER_ROUTES, routes),
@@ -264,7 +245,6 @@ impl MasterShim {
             cv: Condvar::new(),
             num_trees: specs.len() as u32,
             cancel: cancel.clone(),
-            ctrl_conns: OrderedMutex::new(lock_order::MASTER_CTRL_CONNS, HashMap::new()),
             obs,
         });
         // Wake condvar waiters on cancellation (takes the pending lock so a
@@ -417,7 +397,7 @@ impl MasterShim {
                     ctx: meta_ctx,
                     sources: sources.clone(),
                 };
-                let _ = send_ctrl(&self.inner, tb.addr, msg.encode());
+                let _ = self.inner.ctrl.send(tb.addr, msg.encode());
             }
             // Master-facing owed entries for this tree. A root box that
             // already failed (dropped from the route's owed set) is
@@ -496,7 +476,7 @@ impl MasterShim {
                     .map(|w| crate::tree::worker_addr(self.inner.app, *w)),
             );
             for t in targets {
-                send_ctrl(&self.inner, t, msg.encode()).map_err(AggError::from)?;
+                self.inner.ctrl.send(t, msg.encode())?;
             }
         }
         Ok(())
@@ -510,55 +490,44 @@ impl MasterShim {
     pub fn on_child_box_failed(&self, tree: TreeId, failed_box: u32) {
         // Lock order: pending before routes (matches the reader path).
         let mut pending = self.inner.pending.lock();
-        let mut routes = self.inner.routes.lock();
-        let Some(r) = routes.get_mut(&tree) else {
-            return;
-        };
         // Route-level idempotency: only the first firing finds the entry.
-        let Some(info) = r.child_boxes.remove(&failed_box) else {
+        let Some(behind) = self
+            .inner
+            .routes
+            .lock()
+            .get_mut(&tree)
+            .and_then(|r| r.fail_child(failed_box))
+        else {
             return;
         };
-        r.owed.remove(&SourceId::Box(failed_box));
-        for s in &info.behind_sources {
-            r.owed.insert(*s);
-        }
-        // Adopt the failed box's child boxes so a later failure of one
-        // of them re-points as well (double-kill chains).
-        for (id, child) in &info.child_boxes {
-            r.child_boxes.entry(*id).or_insert_with(|| child.clone());
-        }
-        drop(routes);
-        let behind: Vec<(TreeId, SourceId)> =
-            info.behind_sources.iter().map(|s| (tree, *s)).collect();
+        let behind: Vec<(TreeId, SourceId)> = behind.into_iter().map(|s| (tree, s)).collect();
         let mut repointed = 0u64;
         let mut completed = 0u64;
         for (rid, p) in pending.iter_mut() {
             if p.complete {
                 continue;
             }
-            match p.ledger.repoint((tree, SourceId::Box(failed_box)), &behind) {
-                RepointOutcome::Moved { .. } | RepointOutcome::DuplicateSuppressed => {
-                    repointed += 1;
-                    // Mark the adoption in the request's trace: the span
-                    // tree stays connected across the failure because the
-                    // replayed chunks' fresh ctx re-attaches here.
-                    if let (Some(o), Some(t)) = (&self.inner.obs, p.trace) {
-                        let now = trace::now_ns();
-                        o.tracer.record_span(
-                            names::spans::MASTER_REPOINT,
-                            &o.component,
-                            t.trace_id,
-                            o.tracer.next_span_id(),
-                            t.trace_id,
-                            rid.0,
-                            now,
-                            now,
-                        );
-                    }
+            let step = repoint_in_flight(&mut p.ledger, (tree, SourceId::Box(failed_box)), &behind);
+            if step.moved {
+                repointed += 1;
+                // Mark the adoption in the request's trace: the span tree
+                // stays connected across the failure because the replayed
+                // chunks' fresh ctx re-attaches here.
+                if let (Some(o), Some(t)) = (&self.inner.obs, p.trace) {
+                    let now = trace::now_ns();
+                    o.tracer.record_span(
+                        names::spans::MASTER_REPOINT,
+                        &o.component,
+                        t.trace_id,
+                        o.tracer.next_span_id(),
+                        t.trace_id,
+                        rid.0,
+                        now,
+                        now,
+                    );
                 }
-                RepointOutcome::AlreadyRepointed | RepointOutcome::NotOwed => {}
             }
-            if p.ledger.is_complete() {
+            if step.complete {
                 p.complete = true;
                 completed += 1;
             }
@@ -617,37 +586,6 @@ impl MasterShim {
             }
         }
     }
-}
-
-/// Send a control frame over a cached per-destination connection,
-/// redialling once on a stale connection (the agg-box egress idiom).
-fn send_ctrl(inner: &Inner, dest: NodeId, frame: Bytes) -> Result<(), NetError> {
-    let mut conns = inner.ctrl_conns.lock();
-    let mut last = NetError::NotFound(dest);
-    for _ in 0..2 {
-        let conn = match conns.entry(dest) {
-            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::hash_map::Entry::Vacant(v) => {
-                // netagg-lint: allow(no-block-while-locked) deliberate §15 exception: the cache lock serializes racing dials to one per destination
-                match inner.transport.connect(inner.addr, dest) {
-                    Ok(c) => v.insert(c),
-                    Err(e) => {
-                        last = e;
-                        continue;
-                    }
-                }
-            }
-        };
-        // netagg-lint: allow(no-block-while-locked) deliberate §15 exception: the first send must precede any racing redial that would replace the cached conn
-        match conn.send(frame.clone()) {
-            Ok(()) => return Ok(()),
-            Err(e) => {
-                conns.remove(&dest); // stale connection: redial once
-                last = e;
-            }
-        }
-    }
-    Err(last)
 }
 
 impl Drop for MasterShim {
@@ -927,19 +865,9 @@ fn straggler_loop(inner: &Arc<Inner>) {
                     let Some(route) = routes.get(&tree) else {
                         continue;
                     };
-                    for (box_id, info) in &route.child_boxes {
-                        let key = (tree, SourceId::Box(*box_id));
-                        if p.ledger.has_seen(&key) || p.ledger.was_repointed(&key) {
-                            continue;
-                        }
-                        let behind: Vec<(TreeId, SourceId)> =
-                            info.behind_sources.iter().map(|s| (tree, *s)).collect();
-                        // Per-request bypass shares the re-point transition
-                        // (and its idempotency) with the failure path.
-                        if let RepointOutcome::Moved { .. } = p.ledger.repoint(key, &behind) {
-                            redirects.push((*request, tree, info.children_addrs.clone()));
-                        }
-                    }
+                    let bypassed =
+                        select_stragglers(&mut p.ledger, &route.child_boxes, |s| (tree, s));
+                    redirects.extend(bypassed.into_iter().map(|(_, c)| (*request, tree, c)));
                 }
             }
         }
@@ -963,7 +891,7 @@ fn straggler_loop(inner: &Arc<Inner>) {
                 new_parent: inner.addr,
             };
             for child in children {
-                let _ = send_ctrl(inner, child, msg.encode());
+                let _ = inner.ctrl.send(child, msg.encode());
             }
         }
         // Bypass may complete requests whose other sources already ended.

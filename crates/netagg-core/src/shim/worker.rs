@@ -1,5 +1,6 @@
 //! Worker-side shim layer.
 
+use crate::conn_cache::ConnCache;
 use crate::lifecycle::{
     CancelToken, JoinScope, Mailbox, MailboxRecvTimeoutError, OrderedMutex, OrderedRwLock,
     OverflowPolicy, DEFAULT_JOIN_DEADLINE,
@@ -87,13 +88,12 @@ struct SentChunk {
 struct Inner {
     app: AppId,
     worker: u32,
-    addr: NodeId,
-    transport: Arc<dyn Transport>,
     selection: TreeSelection,
     num_trees: u32,
     /// Destination per tree: the worker's first on-path box, or the master.
     assignments: OrderedRwLock<HashMap<TreeId, NodeId>>,
-    conns: OrderedMutex<HashMap<NodeId, Box<dyn Connection>>>,
+    /// Data connections, one per destination.
+    conns: ConnCache,
     seqs: OrderedMutex<HashMap<RequestId, u32>>,
     replay: OrderedMutex<ReplayBuffer>,
     /// Broadcasts received down the tree, delivered to the application
@@ -134,19 +134,8 @@ pub struct WorkerShim {
 
 impl WorkerShim {
     /// Start a worker shim: binds the worker's address (to receive
-    /// redirects) and derives tree assignments from the specs.
-    pub fn start(
-        transport: Arc<dyn Transport>,
-        app: AppId,
-        worker: u32,
-        specs: &[TreeSpec],
-        selection: TreeSelection,
-    ) -> Result<Arc<Self>, NetError> {
-        Self::start_with_obs(transport, app, worker, specs, selection, None)
-    }
-
-    /// Like [`WorkerShim::start`], but additionally publishing
-    /// `shim.worker.*` metrics to `obs`.
+    /// redirects), derives tree assignments from the specs, and publishes
+    /// `shim.worker.*` metrics to `obs` when given.
     pub fn start_with_obs(
         transport: Arc<dyn Transport>,
         app: AppId,
@@ -191,12 +180,10 @@ impl WorkerShim {
         let inner = Arc::new(Inner {
             app,
             worker,
-            addr,
-            transport,
             selection,
             num_trees: specs.len() as u32,
             assignments: OrderedRwLock::new(lock_order::WORKER_ASSIGNMENTS, assignments),
-            conns: OrderedMutex::new(lock_order::WORKER_CONNS, HashMap::new()),
+            conns: ConnCache::new(transport, addr),
             seqs: OrderedMutex::new(lock_order::WORKER_SEQS, HashMap::new()),
             replay: OrderedMutex::new(
                 lock_order::WORKER_REPLAY,
@@ -473,35 +460,7 @@ impl Inner {
             sent_ns,
             payload,
         };
-        let frame = msg.encode();
-        let result = (|| {
-            let mut conns = self.conns.lock();
-            for attempt in 0..2 {
-                let conn = match conns.entry(dest) {
-                    std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                    std::collections::hash_map::Entry::Vacant(v) => {
-                        // netagg-lint: allow(no-block-while-locked) deliberate §15 exception: the cache lock serializes racing dials to one per destination
-                        match self.transport.connect(self.addr, dest) {
-                            Ok(c) => v.insert(c),
-                            Err(e) => {
-                                if attempt == 1 {
-                                    return Err(e.into());
-                                }
-                                continue;
-                            }
-                        }
-                    }
-                };
-                // netagg-lint: allow(no-block-while-locked) deliberate §15 exception: the first send must precede any racing redial that would replace the cached conn
-                match conn.send(frame.clone()) {
-                    Ok(()) => return Ok(()),
-                    Err(_) => {
-                        conns.remove(&dest);
-                    }
-                }
-            }
-            Err(AggError::Net(format!("send to {dest} failed")))
-        })();
+        let result = self.conns.send(dest, msg.encode()).map_err(AggError::from);
         if let (Some((tid, span_id, start_ns)), Some(o)) = (span, &self.obs) {
             o.tracer.record_span(
                 span_name,

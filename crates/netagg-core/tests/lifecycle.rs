@@ -12,9 +12,10 @@
 
 use bytes::Bytes;
 use netagg_core::failure::DetectorConfig;
-use netagg_core::lifecycle::DEFAULT_JOIN_DEADLINE;
+use netagg_core::lifecycle::{CancelToken, JoinScope, DEFAULT_JOIN_DEADLINE};
 use netagg_core::prelude::*;
 use netagg_net::{ChannelTransport, DetRng, FaultController, FaultStep, FaultTransport, Transport};
+use netagg_obs::{names, MetricsRegistry};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -170,4 +171,48 @@ fn clean_teardown_mid_request_is_prompt() {
         0.0,
         "scoped threads survived a clean teardown"
     );
+}
+
+/// A scope thread that keeps spawning siblings while `finish` runs (a
+/// listener accepting connections during teardown) must never leave a
+/// thread behind: each spawn either lands in the slots `finish` joins or
+/// sees the cancellation and does nothing.
+#[test]
+fn spawn_racing_finish_never_leaks_a_thread() {
+    let obs = MetricsRegistry::new();
+    let active = obs.gauge(names::RUNTIME_THREADS_ACTIVE);
+    for i in 0..300u64 {
+        let cancel = CancelToken::new();
+        let scope = Arc::new(JoinScope::with_obs(
+            "spawn-race",
+            cancel.clone(),
+            DEFAULT_JOIN_DEADLINE,
+            Some(&obs),
+        ));
+        let weak = Arc::downgrade(&scope);
+        scope
+            .spawn("spawn-race-listen", move || {
+                while !cancel.is_cancelled() {
+                    let Some(scope) = weak.upgrade() else { return };
+                    let token = cancel.clone();
+                    scope
+                        .spawn("spawn-race-reader", move || {
+                            while !token.wait_timeout(Duration::from_secs(1)) {}
+                        })
+                        .unwrap();
+                }
+            })
+            .unwrap();
+        std::thread::sleep(Duration::from_micros(50 * (i % 8)));
+        scope.finish();
+        assert!(
+            scope.is_empty(),
+            "iteration {i}: a slot was pushed after the join"
+        );
+        assert_eq!(
+            active.get(),
+            0.0,
+            "iteration {i}: threads_active after finish"
+        );
+    }
 }

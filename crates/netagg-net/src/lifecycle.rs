@@ -799,8 +799,15 @@ impl JoinScope {
         f: impl FnOnce() + Send + 'static,
     ) -> std::io::Result<()> {
         let name = name.into();
+        // The slot lock is held from the cancel check to the push.
+        // `join_all` cancels before it takes the slots, so either it takes
+        // this thread's slot or this check sees the cancellation: a thread
+        // spawned during teardown (say, a reader for a connection accepted
+        // mid-shutdown) can never outlive the join.
+        let mut slots = self.slots.lock();
         if self.cancel.is_cancelled() {
-            return Ok(());
+            drop(slots);
+            return Ok(()); // `f` drops here, outside the slot lock
         }
         let done = Arc::new(DoneFlag {
             done: Mutex::new(false),
@@ -831,7 +838,7 @@ impl JoinScope {
                 let _exit = Exit { done: done2, gauge };
                 f();
             })?;
-        self.slots.lock().push(ThreadSlot { name, done, handle });
+        slots.push(ThreadSlot { name, done, handle });
         Ok(())
     }
 

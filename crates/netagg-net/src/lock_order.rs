@@ -25,7 +25,8 @@
 //! * 20–29 master shim (`netagg-core/src/shim/master.rs`)
 //! * 30–39 worker shim (`netagg-core/src/shim/worker.rs`)
 //! * 40–59 agg-box runtime (`netagg-core/src/aggbox/runtime.rs`)
-//! * 60–69 agg-box scheduler (`netagg-core/src/aggbox/scheduler.rs`)
+//! * 60–64 agg-box scheduler (`netagg-core/src/aggbox/scheduler.rs`)
+//! * 65–69 connection cache (`netagg-core/src/conn_cache.rs`)
 //! * 70–89 TCP reactor (`netagg-net/src/tcp.rs`)
 
 /// A static lock rank: the position of one named lock in the global
@@ -67,8 +68,6 @@ pub const MASTER_PENDING: LockRank = LockRank::new(20, "master.pending");
 pub const MASTER_ROUTES: LockRank = LockRank::new(22, "master.routes");
 /// Delivered-request ring (taken under `master.pending` by the reaper).
 pub const MASTER_DELIVERED: LockRank = LockRank::new(24, "master.delivered");
-/// Cached control connections; held across control-plane sends.
-pub const MASTER_CTRL_CONNS: LockRank = LockRank::new(26, "master.ctrl_conns");
 
 // --- worker shim (30–39) ---------------------------------------------------
 
@@ -78,8 +77,6 @@ pub const WORKER_ASSIGNMENTS: LockRank = LockRank::new(30, "worker.assignments")
 pub const WORKER_REPLAY: LockRank = LockRank::new(32, "worker.replay");
 /// Per-request next-sequence counters.
 pub const WORKER_SEQS: LockRank = LockRank::new(34, "worker.seqs");
-/// Cached data connections; held across data-plane sends.
-pub const WORKER_CONNS: LockRank = LockRank::new(36, "worker.conns");
 
 // --- agg-box runtime (40–59) -----------------------------------------------
 
@@ -100,6 +97,12 @@ pub const AGG_STRAGGLER: LockRank = LockRank::new(50, "agg.straggler");
 
 /// WFQ scheduler state (taken under `agg.states` by combine submission).
 pub const SCHED_STATE: LockRank = LockRank::new(60, "sched.state");
+
+// --- connection cache (65–69) ----------------------------------------------
+
+/// Cached per-destination connections of one sender (box egress, master
+/// control plane, worker data plane); held across a dial and a send.
+pub const CONN_CACHE: LockRank = LockRank::new(66, "conn.cache");
 
 // --- TCP reactor (70–89) ---------------------------------------------------
 
