@@ -11,6 +11,7 @@
 use crate::aggbox::scheduler::{SchedulerConfig, TaskScheduler};
 use crate::aggbox::tree::{LocalAggTree, TraceTarget};
 use crate::conn_cache::ConnCache;
+use crate::failure::DetectorConfig;
 use crate::fanin::{repoint_in_flight, select_stragglers, FanInRoute};
 use crate::ledger::{ChunkDisposition, FanInLedger};
 use crate::lifecycle::{
@@ -18,15 +19,17 @@ use crate::lifecycle::{
     DEFAULT_JOIN_DEADLINE,
 };
 use crate::protocol::{AppId, Message, RequestId, SourceId, TreeId};
+use crate::straggler::StragglerPolicy;
+use crate::tick::{self, Job, Node, Probes, Redirect};
 use crate::DynAggregator;
 use bytes::Bytes;
 use netagg_net::lock_order;
 use netagg_net::{Connection, NetError, NodeId, Transport};
 use netagg_obs::trace::{self, TraceCtx, TraceRecorder};
 use netagg_obs::{names, Counter, Histogram, MetricsRegistry};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
 /// Depth of the egress mailbox. Completion callbacks run on scheduler pool
@@ -45,12 +48,11 @@ pub struct AggBoxConfig {
     pub scheduler: SchedulerConfig,
     /// Local aggregation tree fan-in.
     pub fanin: usize,
-    /// How long a request may go without data from an expected source
-    /// (after its first data arrived) before the box bypasses that source's
-    /// box (straggler handling). `None` disables.
-    pub straggler_threshold: Option<Duration>,
-    /// After this many straggler events, a child box is treated as failed.
-    pub straggler_repeat_limit: u32,
+    /// Straggler bypass of child boxes: how long a request may go without
+    /// data from an expected child box (after its first data arrived)
+    /// before the box bypasses it, and after how many bypasses the child
+    /// is treated as failed. `None` disables.
+    pub straggler: Option<StragglerPolicy>,
     /// Stream partial aggregates downstream once a request has buffered
     /// this many bytes, instead of holding the whole request in memory
     /// (`None` = emit only the final aggregate).
@@ -68,8 +70,7 @@ impl AggBoxConfig {
             addr,
             scheduler: SchedulerConfig::default(),
             fanin: 8,
-            straggler_threshold: None,
-            straggler_repeat_limit: 3,
+            straggler: None,
             flush_bytes: None,
             obs: None,
         }
@@ -264,11 +265,14 @@ struct Inner {
     /// Recently completed outputs, kept so a late per-request redirect can
     /// resend an aggregate that already went to the (slow or dead) parent.
     out_replay: OrderedMutex<OutReplay>,
-    /// Straggler event counts per child box.
-    straggler_counts: OrderedMutex<HashMap<u32, u32>>,
     /// Bounded hand-off to the egress thread (`DropOldest`: completion
     /// callbacks run on scheduler threads and must never block here).
     egress: Mailbox<(NodeId, Message)>,
+    /// Persistent connections of the egress thread and of the tick's
+    /// failure redirects.
+    conns: ConnCache,
+    /// Failure detection, once armed (see [`AggBox::arm_failure_detection`]).
+    detector: OnceLock<DetectorConfig>,
     cancel: CancelToken,
     stats: BoxStats,
     obs: Option<BoxObs>,
@@ -281,8 +285,9 @@ pub struct AggBox {
 }
 
 impl AggBox {
-    /// Bind the box's address and start its listener, egress and straggler
-    /// threads.
+    /// Bind the box's address and start its listener and egress threads,
+    /// plus its tick thread when a stream flush or a straggler policy is
+    /// configured.
     pub fn start(transport: Arc<dyn Transport>, cfg: AggBoxConfig) -> Result<Arc<Self>, NetError> {
         let mut listener = transport.bind(cfg.addr)?;
         let cancel = CancelToken::new();
@@ -314,6 +319,8 @@ impl AggBox {
         ));
         let obs = cfg.obs.clone().map(|reg| BoxObs::new(reg, box_id));
         let inner = Arc::new(Inner {
+            conns: ConnCache::new(transport.clone(), cfg.addr),
+            detector: OnceLock::new(),
             cfg,
             transport: transport.clone(),
             scheduler,
@@ -322,7 +329,6 @@ impl AggBox {
             states: OrderedMutex::new(lock_order::AGG_STATES, HashMap::new()),
             out_redirects: OrderedMutex::new(lock_order::AGG_OUT_REDIRECTS, HashMap::new()),
             out_replay: OrderedMutex::new(lock_order::AGG_OUT_REPLAY, OutReplay::new(64)),
-            straggler_counts: OrderedMutex::new(lock_order::AGG_STRAGGLER, HashMap::new()),
             egress,
             cancel,
             stats: BoxStats::default(),
@@ -361,25 +367,44 @@ impl AggBox {
                 })
                 .map_err(|e| NetError::Io(e.to_string()))?;
         }
-        // Streaming flusher.
-        if inner.cfg.flush_bytes.is_some() {
-            let inner = inner.clone();
+        if inner.cfg.flush_bytes.is_some() || inner.cfg.straggler.is_some() {
             boxed
-                .scope
-                .spawn(format!("aggbox-{box_id}-flush"), move || flush_loop(&inner))
-                .map_err(|e| NetError::Io(e.to_string()))?;
-        }
-        // Straggler monitor.
-        if inner.cfg.straggler_threshold.is_some() {
-            let inner = inner.clone();
-            boxed
-                .scope
-                .spawn(format!("aggbox-{box_id}-straggler"), move || {
-                    straggler_loop(&inner)
-                })
+                .spawn_tick()
                 .map_err(|e| NetError::Io(e.to_string()))?;
         }
         Ok(boxed)
+    }
+
+    /// Arm failure detection of this box's child boxes: the tick probes
+    /// every child box its routes hold and re-points around failures.
+    /// Starts the tick thread unless it already runs or there is no child
+    /// box to watch. Call after installing routes; later calls are no-ops.
+    pub(crate) fn arm_failure_detection(&self, cfg: DetectorConfig) {
+        let ticking = self.inner.cfg.flush_bytes.is_some() || self.inner.cfg.straggler.is_some();
+        if self.inner.detector.set(cfg).is_ok() && !ticking && !self.inner.watched().is_empty() {
+            self.spawn_tick().expect("spawn tick");
+        }
+    }
+
+    /// The box's timer thread: the stream flush, the straggler scan (whose
+    /// counts per child box are its own state) and the failure detector.
+    fn spawn_tick(&self) -> std::io::Result<()> {
+        let inner = self.inner.clone();
+        let box_id = inner.cfg.box_id;
+        self.scope.spawn(format!("aggbox-{box_id}-tick"), move || {
+            let inner = &inner;
+            let mut jobs = Vec::new();
+            if let Some(bytes) = inner.cfg.flush_bytes {
+                let flush = move || flush_partials(inner, bytes);
+                jobs.push(Job::every(Duration::from_millis(10), flush));
+            }
+            if let Some(policy) = inner.cfg.straggler {
+                let mut counts = HashMap::new();
+                let scan = move || scan_stragglers(inner, policy, &mut counts);
+                jobs.push(Job::every(policy.threshold / 4, scan));
+            }
+            tick::run(inner, &inner.cancel, jobs);
+        })
     }
 
     /// Register an application's aggregation function with a target
@@ -397,13 +422,20 @@ impl AggBox {
             .insert((route.app, route.tree), route);
     }
 
-    /// React to a confirmed failure of a child box: future requests expect
-    /// that box's children directly (the failure detector has already told
-    /// them to re-point here), and every in-flight request's ledger moves
-    /// the box's obligations onto its behind-sources. Idempotent under
-    /// repeated detector firings.
+    /// React to a confirmed failure of a child box on one route: future
+    /// requests expect that box's children directly, every in-flight
+    /// request's ledger moves the box's obligations onto its
+    /// behind-sources, and then the box's children are told to send here
+    /// permanently. Idempotent under repeated firings.
     pub fn on_child_box_failed(&self, app: AppId, tree: TreeId, failed_box: u32) {
-        child_box_failed(&self.inner, app, tree, failed_box);
+        let inner = &self.inner;
+        let redirect = child_box_failed(inner, app, tree, failed_box).map(|c| (app, tree, c));
+        tick::redirect(
+            &inner.conns,
+            inner.cfg.addr,
+            redirect,
+            inner.cfg.obs.as_ref(),
+        );
     }
 
     /// Counters exposed for the harness and tests.
@@ -450,11 +482,15 @@ impl AggBox {
     }
 
     /// Stop all threads: cancel the box's token (waking every blocked
-    /// accept, recv and egress dequeue immediately) and join the scope
-    /// under its deadline. Idempotent.
+    /// accept, recv and egress dequeue immediately), join the scope under
+    /// its deadline, then stop the combine pool. Idempotent.
     pub fn shutdown(&self) {
         self.inner.cancel.cancel();
         self.scope.finish();
+        // Join the combine pool on this thread: the scheduler's drop may run
+        // on a pool thread (a completion callback holding the box's last
+        // reference), which detaches that thread past the teardown.
+        self.inner.scheduler.shutdown();
         // Requests still open at teardown never reach `on_complete`, so
         // their box request span would never be recorded — and the
         // queue-wait / combine spans parented beneath it would be orphans.
@@ -816,23 +852,25 @@ fn maybe_close_input(
 /// Shared failure re-point path: update the steady-state route (future
 /// requests owe the failed box's children directly, and its grandchild
 /// boxes are adopted for chained failures), then move the obligations of
-/// every in-flight request's ledger. Lock order: states before routes
-/// (matches `straggler_loop`).
-fn child_box_failed(inner: &Arc<Inner>, app: AppId, tree: TreeId, failed_box: u32) {
+/// every in-flight request's ledger. Returns the failed box's children,
+/// owed a permanent redirect, or `None` when the route no longer held
+/// the box. Lock order: states before routes (matches `scan_stragglers`).
+fn child_box_failed(
+    inner: &Arc<Inner>,
+    app: AppId,
+    tree: TreeId,
+    failed_box: u32,
+) -> Option<Vec<NodeId>> {
     let mut to_close = Vec::new();
     let mut repointed = 0u64;
-    {
+    let children = {
         let mut states = inner.states.lock();
         // `None` = already handled (repeated detector firing or a
         // straggler escalation that raced the failure detector).
-        let Some(behind) = inner
-            .routes
-            .write()
-            .get_mut(&(app, tree))
-            .and_then(|r| r.fanin.fail_child(failed_box))
-        else {
-            return;
-        };
+        let (behind, children) = inner.routes.write().get_mut(&(app, tree)).and_then(|r| {
+            let children = r.fanin.child_boxes.get(&failed_box)?.children_addrs.clone();
+            Some((r.fanin.fail_child(failed_box)?, children))
+        })?;
         for ((a, req, t), st) in states.iter_mut() {
             if *a != app || *t != tree || st.input_closed {
                 continue;
@@ -861,7 +899,8 @@ fn child_box_failed(inner: &Arc<Inner>, app: AppId, tree: TreeId, failed_box: u3
                 to_close.push(st.tree.clone());
             }
         }
-    }
+        children
+    };
     if let Some(o) = &inner.obs {
         o.repoints.add(repointed.max(1));
         o.registry.emit(
@@ -876,6 +915,7 @@ fn child_box_failed(inner: &Arc<Inner>, app: AppId, tree: TreeId, failed_box: u3
     for t in to_close {
         close_input(inner, Some(t), app);
     }
+    Some(children)
 }
 
 /// Create the request state (and its completion forwarding) on first data.
@@ -1039,15 +1079,13 @@ fn get_or_create<'a>(
 }
 
 fn egress_loop(inner: &Arc<Inner>) {
-    // Owned by the egress thread: its connections close when it exits.
-    let conns = ConnCache::new(inner.transport.clone(), inner.cfg.addr);
     loop {
         // Blocks until a message arrives; cancellation wakes it immediately
         // (the mailbox is bound to the box's token).
         let Ok((dest, msg)) = inner.egress.recv() else {
             return; // cancelled or closed
         };
-        if conns.send(dest, msg.encode()).is_err() {
+        if inner.conns.send(dest, msg.encode()).is_err() {
             inner.stats.send_errors.fetch_add(1, Ordering::Relaxed);
             if let Some(o) = &inner.obs {
                 o.send_errors.inc();
@@ -1056,186 +1094,203 @@ fn egress_loop(inner: &Arc<Inner>) {
     }
 }
 
-/// Stream partial aggregates downstream for requests whose buffered bytes
-/// exceed the flush threshold (Section 3.2.1: the local aggregation tree
-/// executes in a pipelined fashion and "little data is buffered").
-fn flush_loop(inner: &Arc<Inner>) {
-    let threshold = inner.cfg.flush_bytes.expect("flusher enabled");
-    loop {
-        // Interruptible tick: cancellation ends the sleep (and the loop)
-        // immediately.
-        if inner.cancel.wait_timeout(Duration::from_millis(10)) {
-            return;
-        }
-        // Collect candidates without holding the states lock across the
-        // tree operations.
-        let candidates: Vec<((AppId, RequestId, TreeId), Arc<LocalAggTree>)> = {
-            let states = inner.states.lock();
-            states
-                .iter()
-                .filter(|(_, st)| !st.input_closed)
-                .filter(|(_, st)| st.tree.pending_bytes() >= threshold)
-                .map(|(k, st)| (*k, st.tree.clone()))
-                .collect()
-        };
-        for ((app, request, tree_id), tree) in candidates {
-            let Some(chunk) = tree.take_partial(&inner.scheduler, app) else {
-                continue;
-            };
-            let dest = {
-                let redirects = inner.out_redirects.lock();
-                redirects.get(&(app, request, tree_id)).copied()
-            }
-            .or_else(|| inner.routes.read().get(&(app, tree_id)).map(|r| r.parent));
-            let Some(dest) = dest else { continue };
-            let (seq, req_trace) = {
-                let mut states = inner.states.lock();
-                match states.get_mut(&(app, request, tree_id)) {
-                    Some(st) => {
-                        let s = st.out_seq;
-                        st.out_seq += 1;
-                        (s, st.trace)
-                    }
-                    None => continue,
-                }
-            };
-            // Streamed partials are forward hops too: each gets its own
-            // forward span under the box's request span.
-            let (ctx, sent_ns, forward_span) = match (&inner.obs, req_trace) {
-                (Some(o), Some(rt)) => {
-                    let fs = o.tracer.next_span_id();
-                    (
-                        TraceCtx {
-                            trace_id: rt.trace_id,
-                            parent_span_id: fs,
-                        },
-                        trace::now_ns(),
-                        Some((rt, fs)),
-                    )
-                }
-                _ => (TraceCtx::NONE, 0, None),
-            };
-            let msg = Message::Data {
-                app,
-                request,
-                tree: tree_id,
-                source: SourceId::Box(inner.cfg.box_id),
-                seq,
-                last: false,
-                ctx,
-                sent_ns,
-                payload: chunk.clone(),
-            };
-            if let (Some(o), Some((rt, fs))) = (&inner.obs, forward_span) {
-                o.tracer.record_span(
-                    names::spans::BOX_FORWARD,
-                    &o.component,
-                    rt.trace_id,
-                    fs,
-                    rt.span_id,
-                    request.0,
-                    sent_ns,
-                    trace::now_ns(),
-                );
-            }
-            inner
-                .out_replay
-                .lock()
-                .record((app, request, tree_id), chunk);
-            let _ = inner.egress.send((dest, msg));
-        }
+impl Node for Arc<Inner> {
+    fn probes(&self) -> Option<Probes> {
+        let (transport, obs) = (self.transport.clone(), self.cfg.obs.clone());
+        self.detector
+            .get()
+            .map(|cfg| Probes::new(transport, self.cfg.addr, cfg, obs))
+    }
+
+    fn watched(&self) -> HashSet<u32> {
+        let routes = self.routes.read();
+        routes
+            .values()
+            .flat_map(|r| r.fanin.child_boxes.keys().copied())
+            .collect()
+    }
+
+    fn fail_child_box(&self, box_id: u32) {
+        let held: Vec<(AppId, TreeId)> = self
+            .routes
+            .read()
+            .iter()
+            .filter(|(_, r)| r.fanin.child_boxes.contains_key(&box_id))
+            .map(|(&key, _)| key)
+            .collect();
+        let redirects: Vec<Redirect> = held
+            .into_iter()
+            .filter_map(|(app, tree)| Some((app, tree, child_box_failed(self, app, tree, box_id)?)))
+            .collect();
+        tick::redirect(&self.conns, self.cfg.addr, redirects, self.cfg.obs.as_ref());
     }
 }
 
-/// Periodically bypass straggling child boxes: if a request has received
-/// data from some sources but a child box has contributed nothing within
-/// the threshold, instruct that box's children to send this request's data
-/// directly here, and stop expecting the box (Section 3.1, "Handling
-/// stragglers").
-fn straggler_loop(inner: &Arc<Inner>) {
-    let threshold = inner.cfg.straggler_threshold.expect("monitor enabled");
-    loop {
-        if inner.cancel.wait_timeout(threshold / 4) {
-            return;
+/// Stream partial aggregates downstream for requests whose buffered bytes
+/// exceed the flush threshold (Section 3.2.1: the local aggregation tree
+/// executes in a pipelined fashion and "little data is buffered").
+fn flush_partials(inner: &Arc<Inner>, threshold: usize) {
+    // Collect candidates without holding the states lock across the
+    // tree operations.
+    let candidates: Vec<((AppId, RequestId, TreeId), Arc<LocalAggTree>)> = {
+        let states = inner.states.lock();
+        states
+            .iter()
+            .filter(|(_, st)| !st.input_closed)
+            .filter(|(_, st)| st.tree.pending_bytes() >= threshold)
+            .map(|(k, st)| (*k, st.tree.clone()))
+            .collect()
+    };
+    for ((app, request, tree_id), tree) in candidates {
+        let Some(chunk) = tree.take_partial(&inner.scheduler, app) else {
+            continue;
+        };
+        let dest = {
+            let redirects = inner.out_redirects.lock();
+            redirects.get(&(app, request, tree_id)).copied()
         }
-        let mut redirects: Vec<(AppId, RequestId, TreeId, u32, Vec<NodeId>)> = Vec::new();
-        {
-            // Lock order: states before routes (matches child_box_failed).
+        .or_else(|| inner.routes.read().get(&(app, tree_id)).map(|r| r.parent));
+        let Some(dest) = dest else { continue };
+        let (seq, req_trace) = {
             let mut states = inner.states.lock();
-            let routes = inner.routes.read();
-            for (&(app, request, tree), st) in states.iter_mut() {
-                if st.input_closed
-                    || st.first_data.elapsed() < threshold
-                    || st.ledger.seen_len() == 0
-                {
-                    continue;
+            match states.get_mut(&(app, request, tree_id)) {
+                Some(st) => {
+                    let s = st.out_seq;
+                    st.out_seq += 1;
+                    (s, st.trace)
                 }
-                let Some(route) = routes.get(&(app, tree)) else {
-                    continue;
-                };
-                let bypassed = select_stragglers(&mut st.ledger, &route.fanin.child_boxes, |s| s);
-                redirects.extend(
-                    bypassed
-                        .into_iter()
-                        .map(|(box_id, children)| (app, request, tree, box_id, children)),
-                );
+                None => continue,
             }
+        };
+        // Streamed partials are forward hops too: each gets its own
+        // forward span under the box's request span.
+        let (ctx, sent_ns, forward_span) = match (&inner.obs, req_trace) {
+            (Some(o), Some(rt)) => {
+                let fs = o.tracer.next_span_id();
+                (
+                    TraceCtx {
+                        trace_id: rt.trace_id,
+                        parent_span_id: fs,
+                    },
+                    trace::now_ns(),
+                    Some((rt, fs)),
+                )
+            }
+            _ => (TraceCtx::NONE, 0, None),
+        };
+        let msg = Message::Data {
+            app,
+            request,
+            tree: tree_id,
+            source: SourceId::Box(inner.cfg.box_id),
+            seq,
+            last: false,
+            ctx,
+            sent_ns,
+            payload: chunk.clone(),
+        };
+        if let (Some(o), Some((rt, fs))) = (&inner.obs, forward_span) {
+            o.tracer.record_span(
+                names::spans::BOX_FORWARD,
+                &o.component,
+                rt.trace_id,
+                fs,
+                rt.span_id,
+                request.0,
+                sent_ns,
+                trace::now_ns(),
+            );
         }
-        for (app, request, tree, box_id, children) in redirects {
-            inner
-                .stats
-                .straggler_redirects
-                .fetch_add(1, Ordering::Relaxed);
-            let mut counts = inner.straggler_counts.lock();
-            *counts.entry(box_id).or_insert(0) += 1;
-            let escalate = counts[&box_id] >= inner.cfg.straggler_repeat_limit;
-            drop(counts);
-            if let Some(o) = &inner.obs {
-                o.straggler_redirects.inc();
-                o.registry.emit(
-                    names::EVENT_STRAGGLER,
-                    format!(
-                        "box {} bypassed child box {box_id} for app {} request {} tree {}{}",
-                        inner.cfg.box_id,
-                        app.0,
-                        request.0,
-                        tree.0,
-                        if escalate {
-                            " (escalated to permanent)"
-                        } else {
-                            ""
-                        },
-                    ),
-                );
-                if escalate {
-                    o.straggler_escalations.inc();
-                }
+        inner
+            .out_replay
+            .lock()
+            .record((app, request, tree_id), chunk);
+        let _ = inner.egress.send((dest, msg));
+    }
+}
+
+/// Bypass straggling child boxes: if a request has received data from
+/// some sources but a child box has contributed nothing within the
+/// threshold, instruct that box's children to send this request's data
+/// directly here, and stop expecting the box (Section 3.1, "Handling
+/// stragglers"). `straggles` counts the bypasses per child box.
+fn scan_stragglers(inner: &Arc<Inner>, policy: StragglerPolicy, straggles: &mut HashMap<u32, u32>) {
+    let mut redirects: Vec<(AppId, RequestId, TreeId, u32, Vec<NodeId>)> = Vec::new();
+    {
+        // Lock order: states before routes (matches child_box_failed).
+        let mut states = inner.states.lock();
+        let routes = inner.routes.read();
+        for (&(app, request, tree), st) in states.iter_mut() {
+            if st.input_closed
+                || st.first_data.elapsed() < policy.threshold
+                || st.ledger.seen_len() == 0
+            {
+                continue;
             }
+            let Some(route) = routes.get(&(app, tree)) else {
+                continue;
+            };
+            let bypassed = select_stragglers(&mut st.ledger, &route.fanin.child_boxes, |s| s);
+            redirects.extend(
+                bypassed
+                    .into_iter()
+                    .map(|(box_id, children)| (app, request, tree, box_id, children)),
+            );
+        }
+    }
+    for (app, request, tree, box_id, children) in redirects {
+        inner
+            .stats
+            .straggler_redirects
+            .fetch_add(1, Ordering::Relaxed);
+        let count = straggles.entry(box_id).or_insert(0);
+        *count += 1;
+        let escalate = *count >= policy.repeat_limit;
+        if let Some(o) = &inner.obs {
+            o.straggler_redirects.inc();
+            o.registry.emit(
+                names::EVENT_STRAGGLER,
+                format!(
+                    "box {} bypassed child box {box_id} for app {} request {} tree {}{}",
+                    inner.cfg.box_id,
+                    app.0,
+                    request.0,
+                    tree.0,
+                    if escalate {
+                        " (escalated to permanent)"
+                    } else {
+                        ""
+                    },
+                ),
+            );
             if escalate {
-                // Repeated slowness across requests: treat the box as
-                // permanently failed (Section 3.1) — its children re-point
-                // here, future requests no longer expect it, and in-flight
-                // ledgers move its obligations (idempotent with the failure
-                // detector firing for the same box).
-                child_box_failed(inner, app, tree, box_id);
+                o.straggler_escalations.inc();
             }
-            let msg = Message::Redirect {
-                app,
-                permanent: escalate,
-                request,
-                tree,
-                new_parent: inner.cfg.addr,
-            };
-            for child in children {
-                let _ = inner.egress.send((child, msg.clone()));
-            }
-            // Re-check whether the bypass completes the request (the owed
-            // set changed).
-            let to_close = {
-                let mut states = inner.states.lock();
-                maybe_close_input(&mut states, app, request, tree)
-            };
-            close_input(inner, to_close, app);
         }
+        if escalate {
+            // Repeated slowness across requests: treat the box as
+            // permanently failed (Section 3.1) — its children re-point
+            // here, future requests no longer expect it, and in-flight
+            // ledgers move its obligations (idempotent with the failure
+            // detector firing for the same box).
+            child_box_failed(inner, app, tree, box_id);
+        }
+        let msg = Message::Redirect {
+            app,
+            permanent: escalate,
+            request,
+            tree,
+            new_parent: inner.cfg.addr,
+        };
+        for child in children {
+            let _ = inner.egress.send((child, msg.clone()));
+        }
+        // Re-check whether the bypass completes the request (the owed
+        // set changed).
+        let to_close = {
+            let mut states = inner.states.lock();
+            maybe_close_input(&mut states, app, request, tree)
+        };
+        close_input(inner, to_close, app);
     }
 }

@@ -269,7 +269,7 @@ impl TaskScheduler {
     /// Stop the pool, dropping queued tasks. Idempotent. If invoked from a
     /// pool thread (e.g. the last Arc dropping inside a task), that thread
     /// is detached instead of joined.
-    pub fn shutdown(&mut self) {
+    pub fn shutdown(&self) {
         self.inner.cancel.cancel();
         {
             // Account the tasks this shutdown abandons.
@@ -505,7 +505,7 @@ mod tests {
 
     #[test]
     fn unequal_shares_are_respected_adaptively() {
-        let mut s = TaskScheduler::new(cfg(2, true));
+        let s = TaskScheduler::new(cfg(2, true));
         let a = AppId(1);
         let b = AppId(2);
         s.register_app(a, 3.0);
@@ -532,7 +532,7 @@ mod tests {
 
     #[test]
     fn shutdown_drops_queue_and_joins() {
-        let mut s = TaskScheduler::new(cfg(1, true));
+        let s = TaskScheduler::new(cfg(1, true));
         s.register_app(AppId(1), 1.0);
         s.submit(
             AppId(1),
@@ -575,7 +575,7 @@ mod tests {
     #[test]
     fn obs_counts_tasks_and_weights() {
         let obs = netagg_obs::MetricsRegistry::new();
-        let mut s = TaskScheduler::new_with_obs(cfg(2, true), Some(obs.clone()));
+        let s = TaskScheduler::new_with_obs(cfg(2, true), Some(obs.clone()));
         s.register_app(AppId(3), 2.0);
         for _ in 0..10 {
             s.submit(

@@ -1,22 +1,21 @@
-//! Failure detection and recovery (Section 3.1, "Handling failures").
+//! Failure detection (Section 3.1, "Handling failures").
 //!
-//! A lightweight detector runs at every node that is the *parent* of agg
-//! boxes in a tree (other boxes and the master shim). It periodically
-//! heartbeats its child boxes; after `misses` consecutive unanswered
-//! probes a child is declared failed, its children (workers or further
-//! boxes) are told to redirect future partial results to the detecting
-//! node, and the owner is notified so it adjusts the sources it expects.
-//! Duplicate suppression at the new parent (sequence numbers per source)
-//! keeps resent results from being double-counted.
+//! Every node that is the *parent* of agg boxes in a tree (other boxes
+//! and the master shim) heartbeats its child boxes; after `misses`
+//! consecutive unanswered probes a child is declared failed, the node
+//! re-points its fan-in routes (see [`crate::fanin`]) and tells the
+//! failed box's children to send to it instead. Duplicate suppression at
+//! the new parent (sequence numbers per source) keeps resent results
+//! from being double-counted.
+//!
+//! This module holds the detector's decisions as a pure state machine,
+//! [`Prober`]: no locks, no sends, no clock reads. The node's tick thread
+//! owns the probe connections, feeds the prober the time, the acks it
+//! read and the child boxes its routes hold, and sends what it is told to
+//! (DESIGN.md §8).
 
-use crate::lifecycle::{CancelToken, JoinScope, DEFAULT_JOIN_DEADLINE};
-use crate::protocol::{AppId, Message, TreeId};
-use netagg_net::{NetError, NodeId, Transport};
-use netagg_obs::{names, MetricsRegistry};
-use parking_lot::Mutex;
-use std::collections::HashMap;
-use std::sync::Arc;
-use std::time::Duration;
+use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::time::{Duration, Instant};
 
 /// Detector timing parameters.
 #[derive(Debug, Clone)]
@@ -39,357 +38,123 @@ impl Default for DetectorConfig {
     }
 }
 
-/// A child box watched by the detector.
+/// Probe state of one watched child box.
+#[derive(Debug, Clone, Copy)]
+struct Watch {
+    /// The outstanding probe: its nonce and ack deadline.
+    outstanding: Option<(u64, Instant)>,
+    /// Consecutive probes that went unanswered.
+    misses: u32,
+    /// When the next probe may be sent.
+    next_send: Instant,
+}
+
+/// The failure detector of one parent node, over the child boxes it is
+/// told to watch. At most one probe per child is outstanding at a time.
 #[derive(Debug, Clone)]
-pub struct WatchedChild {
-    /// Global id of the watched box.
-    pub box_id: u32,
-    /// Its transport address.
-    pub addr: NodeId,
-    /// Addresses of the box's children, to be re-pointed on failure.
-    pub children_addrs: Vec<NodeId>,
-    /// Trees (per application) the box serves under this parent.
-    pub apps_trees: Vec<(AppId, TreeId)>,
-}
-
-/// A shared, mutable set of children one detector probes. Clones are
-/// cheap and refer to the same set, so recovery logic can *adopt* the
-/// children of a failed box into a running detector: after a re-point,
-/// the new watches make a later failure of an orphaned subtree box
-/// (double-kill chains) detectable too.
-#[derive(Clone, Default)]
-pub struct WatchSet {
-    children: Arc<Mutex<Vec<WatchedChild>>>,
-}
-
-impl WatchSet {
-    /// A watch set with the given initial children (merged via
-    /// [`WatchSet::add`]).
-    pub fn new(children: Vec<WatchedChild>) -> Self {
-        let s = Self::default();
-        for c in children {
-            s.add(c);
-        }
-        s
-    }
-
-    /// Add a watched child. Entries for an already-watched box merge
-    /// their (app, tree) pairs and child addresses instead of
-    /// duplicating: the detector tracks liveness per box id, and a
-    /// duplicate entry would stop being probed (and re-pointed) the
-    /// moment the first one fires.
-    pub fn add(&self, child: WatchedChild) {
-        let mut v = self.children.lock();
-        if let Some(e) = v.iter_mut().find(|e| e.box_id == child.box_id) {
-            for at in child.apps_trees {
-                if !e.apps_trees.contains(&at) {
-                    e.apps_trees.push(at);
-                }
-            }
-            for a in child.children_addrs {
-                if !e.children_addrs.contains(&a) {
-                    e.children_addrs.push(a);
-                }
-            }
-            return;
-        }
-        v.push(child);
-    }
-
-    /// Whether no children are watched.
-    pub fn is_empty(&self) -> bool {
-        self.children.lock().is_empty()
-    }
-
-    fn snapshot(&self) -> Vec<WatchedChild> {
-        self.children.lock().clone()
-    }
-}
-
-/// A running failure detector.
-pub struct FailureDetector {
-    scope: JoinScope,
-}
-
-impl FailureDetector {
-    /// Start probing the live `children` set from `self_addr`: children
-    /// added to the set while the detector runs are picked up on the next
-    /// probe round (recovery logic uses this to adopt the children of a
-    /// failed box). On a confirmed failure, redirect messages (permanent)
-    /// are sent to the failed box's children pointing them at
-    /// `redirect_to`, and `on_failed(box_id)` is invoked once so the owner
-    /// can adjust its expected sources. With `obs`, publishes
-    /// `failure.detections` / `failure.repoints` metrics and `failure`
-    /// events.
-    #[allow(clippy::too_many_arguments)]
-    pub fn start(
-        transport: Arc<dyn Transport>,
-        self_addr: NodeId,
-        redirect_to: NodeId,
-        children: WatchSet,
-        cfg: DetectorConfig,
-        on_failed: Box<dyn Fn(u32) + Send>,
-        obs: Option<MetricsRegistry>,
-    ) -> Self {
-        let cancel = CancelToken::new();
-        let scope = JoinScope::with_obs(
-            format!("failure-detector-{self_addr}"),
-            cancel.clone(),
-            DEFAULT_JOIN_DEADLINE,
-            obs.as_ref(),
-        );
-        scope
-            .spawn(format!("failure-detector-{self_addr}"), move || {
-                detector_loop(
-                    &transport,
-                    self_addr,
-                    redirect_to,
-                    children,
-                    &cfg,
-                    on_failed,
-                    &cancel,
-                    &obs,
-                )
-            })
-            .expect("spawn failure detector");
-        Self { scope }
-    }
-
-    /// Stop probing: cancel the token (ending the current inter-probe
-    /// sleep immediately) and join the detector thread. Idempotent.
-    pub fn stop(&mut self) {
-        self.scope.finish();
-    }
-}
-
-impl Drop for FailureDetector {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn detector_loop(
-    transport: &Arc<dyn Transport>,
-    self_addr: NodeId,
-    redirect_to: NodeId,
-    children: WatchSet,
-    cfg: &DetectorConfig,
-    on_failed: Box<dyn Fn(u32) + Send>,
-    cancel: &CancelToken,
-    obs: &Option<MetricsRegistry>,
-) {
-    let mut conns: HashMap<u32, Box<dyn netagg_net::Connection>> = HashMap::new();
-    let mut miss_count: HashMap<u32, u32> = HashMap::new();
-    let mut failed: HashMap<u32, bool> = HashMap::new();
-    let mut nonce = 0u64;
-    loop {
-        // Interruptible inter-probe sleep: stop() ends it immediately.
-        if cancel.wait_timeout(cfg.interval) {
-            return;
-        }
-        // Snapshot per round: `on_failed` may adopt the failed box's
-        // children into the set mid-round.
-        for child in children.snapshot() {
-            if failed.get(&child.box_id).copied().unwrap_or(false) {
-                continue;
-            }
-            nonce += 1;
-            let ok = probe(
-                transport,
-                self_addr,
-                child.addr,
-                nonce,
-                cfg,
-                &mut conns,
-                child.box_id,
-            );
-            if ok {
-                miss_count.insert(child.box_id, 0);
-                continue;
-            }
-            let m = miss_count.entry(child.box_id).or_insert(0);
-            *m += 1;
-            if *m < cfg.misses {
-                continue;
-            }
-            // Declare failure. Accounting first, data movement second:
-            // `on_failed` re-points the owner's fan-in ledgers *before*
-            // the redirects trigger worker replays, so a replayed chunk
-            // can never race the expected-source update (the seed bug).
-            failed.insert(child.box_id, true);
-            if let Some(o) = obs {
-                o.counter(names::FAILURE_DETECTIONS).inc();
-                o.emit(
-                    names::EVENT_FAILURE,
-                    format!(
-                        "detector at {self_addr} declared box {} (addr {}) failed after {} missed probes",
-                        child.box_id, child.addr, cfg.misses
-                    ),
-                );
-            }
-            on_failed(child.box_id);
-            for &(app, tree) in &child.apps_trees {
-                let msg = Message::Redirect {
-                    app,
-                    permanent: true,
-                    request: crate::protocol::RequestId(0),
-                    tree,
-                    new_parent: redirect_to,
-                };
-                for &grandchild in &child.children_addrs {
-                    if let Ok(mut c) = transport.connect(self_addr, grandchild) {
-                        let _ = c.send(msg.encode());
-                        if let Some(o) = obs {
-                            o.counter(names::FAILURE_REPOINTS).inc();
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-fn probe(
-    transport: &Arc<dyn Transport>,
-    self_addr: NodeId,
-    child_addr: NodeId,
+pub struct Prober {
+    cfg: DetectorConfig,
+    watches: BTreeMap<u32, Watch>,
+    /// Boxes declared failed: never probed again.
+    failed: BTreeSet<u32>,
     nonce: u64,
-    cfg: &DetectorConfig,
-    conns: &mut HashMap<u32, Box<dyn netagg_net::Connection>>,
-    box_id: u32,
-) -> bool {
-    let conn = match conns.entry(box_id) {
-        std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-        std::collections::hash_map::Entry::Vacant(v) => {
-            match transport.connect(self_addr, child_addr) {
-                Ok(c) => v.insert(c),
-                Err(_) => return false,
-            }
-        }
-    };
-    let hb = Message::Heartbeat {
-        from: self_addr,
-        nonce,
-    };
-    if conn.send(hb.encode()).is_err() {
-        conns.remove(&box_id);
-        return false;
-    }
-    // Wait for the matching ack (tolerate unrelated frames).
-    let deadline = std::time::Instant::now() + cfg.timeout;
-    loop {
-        let now = std::time::Instant::now();
-        if now >= deadline {
-            conns.remove(&box_id);
-            return false;
-        }
-        match conn.recv_timeout(deadline - now) {
-            Ok(frame) => {
-                if let Ok(Message::HeartbeatAck { nonce: n, .. }) = Message::decode(frame) {
-                    if n == nonce {
-                        return true;
-                    }
-                }
-            }
-            Err(NetError::Timeout) => {
-                conns.remove(&box_id);
-                return false;
-            }
-            Err(_) => {
-                conns.remove(&box_id);
-                return false;
-            }
-        }
-    }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::aggbox::{AggBox, AggBoxConfig};
-    use netagg_net::{ChannelTransport, FaultController, FaultTransport};
-    use std::sync::atomic::{AtomicU32, Ordering};
-
-    #[test]
-    fn healthy_child_is_not_declared_failed() {
-        let transport: Arc<dyn Transport> = Arc::new(ChannelTransport::new());
-        let b = AggBox::start(
-            transport.clone(),
-            AggBoxConfig::new(0, crate::tree::box_addr(0)),
-        )
-        .unwrap();
-        let failed = Arc::new(AtomicU32::new(0));
-        let f2 = failed.clone();
-        let mut det = FailureDetector::start(
-            transport,
-            999,
-            999,
-            WatchSet::new(vec![WatchedChild {
-                box_id: 0,
-                addr: b.addr(),
-                children_addrs: vec![],
-                apps_trees: vec![],
-            }]),
-            DetectorConfig {
-                interval: Duration::from_millis(20),
-                timeout: Duration::from_millis(100),
-                misses: 2,
-            },
-            Box::new(move |_| {
-                f2.fetch_add(1, Ordering::SeqCst);
-            }),
-            None,
-        );
-        std::thread::sleep(Duration::from_millis(300));
-        det.stop();
-        assert_eq!(failed.load(Ordering::SeqCst), 0);
-        b.shutdown();
+impl Prober {
+    /// A prober watching nothing yet.
+    pub fn new(cfg: DetectorConfig) -> Self {
+        Self {
+            cfg,
+            watches: BTreeMap::new(),
+            failed: BTreeSet::new(),
+            nonce: 0,
+        }
     }
 
-    #[test]
-    fn dead_child_triggers_failure_callback() {
-        let ctl = FaultController::new();
-        let transport: Arc<dyn Transport> =
-            Arc::new(FaultTransport::new(ChannelTransport::new(), ctl.clone()));
-        let b = AggBox::start(
-            transport.clone(),
-            AggBoxConfig::new(0, crate::tree::box_addr(0)),
-        )
-        .unwrap();
-        let failed = Arc::new(AtomicU32::new(0));
-        let f2 = failed.clone();
-        let mut det = FailureDetector::start(
-            transport,
-            999,
-            999,
-            WatchSet::new(vec![WatchedChild {
-                box_id: 0,
-                addr: b.addr(),
-                children_addrs: vec![],
-                apps_trees: vec![],
-            }]),
-            DetectorConfig {
-                interval: Duration::from_millis(20),
-                timeout: Duration::from_millis(60),
-                misses: 2,
-            },
-            Box::new(move |id| {
-                assert_eq!(id, 0);
-                f2.fetch_add(1, Ordering::SeqCst);
-            }),
-            None,
-        );
-        std::thread::sleep(Duration::from_millis(150));
-        ctl.kill(b.addr());
-        std::thread::sleep(Duration::from_millis(500));
-        det.stop();
-        assert_eq!(
-            failed.load(Ordering::SeqCst),
-            1,
-            "exactly one failure event"
-        );
-        ctl.revive(b.addr());
-        b.shutdown();
+    /// The probes to send at `now`, as `(box id, nonce)`, to the child
+    /// boxes in `watched` (the union of the node's routes' child boxes).
+    /// A box new to `watched` is due at once; a box that left it is
+    /// forgotten; a box declared failed is never probed again. Each probe
+    /// sent must be answered by `now + timeout`; the next one to the same
+    /// box goes no earlier than `now + interval`, and not while this one
+    /// is outstanding.
+    pub fn due(&mut self, watched: &HashSet<u32>, now: Instant) -> Vec<(u32, u64)> {
+        self.watches.retain(|b, _| watched.contains(b));
+        for &b in watched {
+            if !self.failed.contains(&b) {
+                self.watches.entry(b).or_insert(Watch {
+                    outstanding: None,
+                    misses: 0,
+                    next_send: now,
+                });
+            }
+        }
+        let mut probes = Vec::new();
+        for (&b, w) in &mut self.watches {
+            if w.outstanding.is_none() && w.next_send <= now {
+                self.nonce += 1;
+                w.outstanding = Some((self.nonce, now + self.cfg.timeout));
+                w.next_send = now + self.cfg.interval;
+                probes.push((b, self.nonce));
+            }
+        }
+        probes
+    }
+
+    /// The probe to `box_id` is lost: it could not be dialled or sent, or
+    /// its connection broke before the ack came. It counts as a miss at
+    /// the next [`Prober::expire`] instead of waiting out the timeout.
+    pub fn lost(&mut self, box_id: u32, now: Instant) {
+        if let Some((_, deadline)) = self
+            .watches
+            .get_mut(&box_id)
+            .and_then(|w| w.outstanding.as_mut())
+        {
+            *deadline = now;
+        }
+    }
+
+    /// An ack from `box_id`. It answers the outstanding probe only if the
+    /// nonce matches; that resets the box's misses. Acks are read before
+    /// deadlines expire, so an ack that arrived in time counts even when
+    /// it is read late.
+    pub fn ack(&mut self, box_id: u32, nonce: u64) {
+        if let Some(w) = self.watches.get_mut(&box_id) {
+            if w.outstanding.map(|(n, _)| n) == Some(nonce) {
+                w.outstanding = None;
+                w.misses = 0;
+            }
+        }
+    }
+
+    /// Expire the probes whose deadline is at or before `now`, each a
+    /// miss. Returns the boxes whose consecutive misses reached the limit
+    /// on this call: each box is declared failed exactly once.
+    pub fn expire(&mut self, now: Instant) -> Vec<u32> {
+        let mut failed = Vec::new();
+        for (&b, w) in &mut self.watches {
+            if w.outstanding.is_some_and(|(_, deadline)| deadline <= now) {
+                w.outstanding = None;
+                w.misses += 1;
+                if w.misses >= self.cfg.misses {
+                    failed.push(b);
+                }
+            }
+        }
+        for b in &failed {
+            self.watches.remove(b);
+            self.failed.insert(*b);
+        }
+        failed
+    }
+
+    /// The earliest instant at which [`Prober::expire`] or
+    /// [`Prober::due`] has work: an outstanding probe's deadline, or an
+    /// idle box's next send. `None` when nothing is watched.
+    pub fn next_due(&self) -> Option<Instant> {
+        self.watches
+            .values()
+            .map(|w| w.outstanding.map_or(w.next_send, |(_, d)| d))
+            .min()
     }
 }

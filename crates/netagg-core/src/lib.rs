@@ -83,6 +83,7 @@ pub mod protocol;
 pub mod runtime;
 pub mod shim;
 pub mod straggler;
+mod tick;
 pub mod tree;
 
 use bytes::Bytes;

@@ -4,12 +4,12 @@
 use crate::aggbox::runtime::RouteInstall;
 use crate::aggbox::scheduler::SchedulerConfig;
 use crate::aggbox::{AggBox, AggBoxConfig};
-use crate::failure::{DetectorConfig, FailureDetector, WatchSet, WatchedChild};
+use crate::failure::DetectorConfig;
 use crate::fanin::FanInRoute;
 use crate::protocol::AppId;
 use crate::shim::{MasterShim, MasterShimConfig, TreeSelection, WorkerShim};
 use crate::straggler::StragglerPolicy;
-use crate::tree::{build_tree_specs, master_addr, ClusterSpec, Parent, TreeSpec};
+use crate::tree::{build_tree_specs, ClusterSpec, TreeSpec};
 use crate::{AggError, DynAggregator};
 use netagg_net::{MeteredTransport, Transport};
 use netagg_obs::{MetricsRegistry, MetricsSnapshot};
@@ -57,7 +57,6 @@ pub struct NetAggDeployment {
     boxes: Vec<Arc<AggBox>>,
     apps: Vec<AppRecord>,
     master_shims: HashMap<AppId, Arc<MasterShim>>,
-    detectors: Vec<FailureDetector>,
     next_app: u16,
     obs: MetricsRegistry,
 }
@@ -99,10 +98,7 @@ impl NetAggDeployment {
             let mut bc = AggBoxConfig::new(b, crate::tree::box_addr(b));
             bc.scheduler = cfg.scheduler.clone();
             bc.fanin = cfg.fanin;
-            if let Some(p) = cfg.straggler {
-                bc.straggler_threshold = Some(p.threshold);
-                bc.straggler_repeat_limit = p.repeat_limit;
-            }
+            bc.straggler = cfg.straggler;
             bc.flush_bytes = cfg.flush_bytes;
             bc.obs = Some(obs.clone());
             boxes.push(AggBox::start(transport.clone(), bc)?);
@@ -114,7 +110,6 @@ impl NetAggDeployment {
             boxes,
             apps: Vec::new(),
             master_shims: HashMap::new(),
-            detectors: Vec::new(),
             next_app: 0,
             obs,
         })
@@ -184,121 +179,15 @@ impl NetAggDeployment {
     }
 
     /// Arm failure detection: every parent of boxes (master shims and
-    /// boxes) probes its child boxes and re-routes around failures. Call
-    /// after registering all applications and creating master shims.
+    /// boxes) probes the child boxes its routes hold, on its tick thread,
+    /// and re-routes around failures. Call after registering all
+    /// applications and creating master shims.
     pub fn enable_failure_detection(&mut self, cfg: DetectorConfig) {
-        let apps: Vec<AppId> = self.apps.iter().map(|a| a.id).collect();
-        // Master-side detectors (watch root boxes).
-        for (&app, shim) in &self.master_shims {
-            let watch = WatchSet::default();
-            for spec in &self.specs {
-                for tb in spec.boxes.iter().filter(|b| b.parent == Parent::Master) {
-                    watch.add(WatchedChild {
-                        box_id: tb.box_id,
-                        addr: tb.addr,
-                        children_addrs: spec.children_addrs(app, tb.box_id),
-                        apps_trees: vec![(app, spec.tree)],
-                    });
-                }
-            }
-            if watch.is_empty() {
-                continue;
-            }
-            let shim2 = shim.clone();
-            let specs = self.specs.clone();
-            let adopt = watch.clone();
-            self.detectors.push(FailureDetector::start(
-                self.transport.clone(),
-                master_addr(app),
-                master_addr(app),
-                watch,
-                cfg.clone(),
-                Box::new(move |box_id| {
-                    for spec in &specs {
-                        let Some(tb) = spec.tree_box(box_id) else {
-                            continue;
-                        };
-                        shim2.on_child_box_failed(spec.tree, box_id);
-                        // Adopt the failed box's child boxes: the master
-                        // is their parent now, so it must watch them too
-                        // (double-kill chains).
-                        for c in &tb.box_children {
-                            if let Some(cb) = spec.tree_box(*c) {
-                                adopt.add(WatchedChild {
-                                    box_id: cb.box_id,
-                                    addr: cb.addr,
-                                    children_addrs: spec.children_addrs(app, cb.box_id),
-                                    apps_trees: vec![(app, spec.tree)],
-                                });
-                            }
-                        }
-                    }
-                }),
-                Some(self.obs.clone()),
-            ));
+        for shim in self.master_shims.values() {
+            shim.arm_failure_detection(cfg.clone());
         }
-        // Box-side detectors (watch child boxes). Box liveness is
-        // app-independent, so each box runs one detector covering all apps
-        // (the watch set merges per-app entries by box id).
         for aggbox in &self.boxes {
-            let watch = WatchSet::default();
-            for spec in &self.specs {
-                let Some(tb) = spec.tree_box(aggbox.box_id()) else {
-                    continue;
-                };
-                for c in &tb.box_children {
-                    let cb = spec.tree_box(*c).expect("child box in spec");
-                    // A redirect must be issued per app; children_addrs are
-                    // per app for workers.
-                    for &app in &apps {
-                        watch.add(WatchedChild {
-                            box_id: cb.box_id,
-                            addr: cb.addr,
-                            children_addrs: spec.children_addrs(app, cb.box_id),
-                            apps_trees: vec![(app, spec.tree)],
-                        });
-                    }
-                }
-            }
-            if watch.is_empty() {
-                continue;
-            }
-            let owner = aggbox.clone();
-            let specs = self.specs.clone();
-            let apps2 = apps.clone();
-            let adopt = watch.clone();
-            self.detectors.push(FailureDetector::start(
-                self.transport.clone(),
-                aggbox.addr(),
-                aggbox.addr(),
-                watch,
-                cfg.clone(),
-                Box::new(move |box_id| {
-                    for spec in &specs {
-                        let Some(tb) = spec.tree_box(box_id) else {
-                            continue;
-                        };
-                        for &app in &apps2 {
-                            owner.on_child_box_failed(app, spec.tree, box_id);
-                        }
-                        // Adopt the failed box's own child boxes so a
-                        // chained failure below it is detected as well.
-                        for c in &tb.box_children {
-                            if let Some(cb) = spec.tree_box(*c) {
-                                for &app in &apps2 {
-                                    adopt.add(WatchedChild {
-                                        box_id: cb.box_id,
-                                        addr: cb.addr,
-                                        children_addrs: spec.children_addrs(app, cb.box_id),
-                                        apps_trees: vec![(app, spec.tree)],
-                                    });
-                                }
-                            }
-                        }
-                    }
-                }),
-                Some(self.obs.clone()),
-            ));
+            aggbox.arm_failure_detection(cfg.clone());
         }
     }
 
@@ -318,8 +207,8 @@ impl NetAggDeployment {
         &self.transport
     }
 
-    /// The deployment-wide metrics registry. Boxes, shims, detectors and
-    /// the transport all publish into it; see DESIGN.md ("Observability")
+    /// The deployment-wide metrics registry. Boxes, shims and the
+    /// transport all publish into it; see DESIGN.md ("Observability")
     /// for the metric names.
     pub fn obs(&self) -> &MetricsRegistry {
         &self.obs
@@ -332,11 +221,8 @@ impl NetAggDeployment {
         self.obs.snapshot()
     }
 
-    /// Stop detectors, shims and boxes.
+    /// Stop shims and boxes.
     pub fn shutdown(&mut self) {
-        for mut d in self.detectors.drain(..) {
-            d.stop();
-        }
         for (_, s) in self.master_shims.drain() {
             s.shutdown();
         }

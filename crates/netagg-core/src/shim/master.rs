@@ -7,12 +7,14 @@
 //! it runs the same straggler bypass the boxes do.
 
 use crate::conn_cache::ConnCache;
+use crate::failure::DetectorConfig;
 use crate::fanin::{repoint_in_flight, select_stragglers, FanInRoute};
 use crate::ledger::{ChunkDisposition, FanInLedger};
 use crate::lifecycle::{CancelToken, JoinScope, OrderedMutex, WakerGuard, DEFAULT_JOIN_DEADLINE};
 use crate::protocol::{AppId, Message, RequestId, SourceId, TreeId};
 use crate::shim::worker::per_request_tree;
 use crate::shim::TreeSelection;
+use crate::tick::{self, Job, Node, Probes, Redirect};
 use crate::tree::{master_addr, Parent, TreeSpec};
 use crate::{AggError, DynAggregator};
 use bytes::Bytes;
@@ -22,7 +24,7 @@ use netagg_obs::trace::{self, TraceCtx, TraceRecorder};
 use netagg_obs::{names, Counter, Gauge, Histogram, MetricsRegistry};
 use parking_lot::Condvar;
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// The fully aggregated answer to one request.
@@ -185,9 +187,14 @@ struct Inner {
     cv: Condvar,
     num_trees: u32,
     cancel: CancelToken,
-    /// Control-plane connections (RequestMeta, Broadcast, straggler
-    /// redirects), one per destination.
+    /// Control-plane connections (RequestMeta, Broadcast, straggler and
+    /// failure redirects), one per destination.
     ctrl: ConnCache,
+    /// Dials the tick's probe connections.
+    transport: Arc<dyn Transport>,
+    /// Failure detection, once armed (see
+    /// [`MasterShim::arm_failure_detection`]).
+    detector: OnceLock<DetectorConfig>,
     obs: Option<MasterObs>,
 }
 
@@ -206,8 +213,8 @@ pub struct MasterShim {
 }
 
 impl MasterShim {
-    /// Bind the master address and start the shim's listener (and, when
-    /// configured, its straggler monitor).
+    /// Bind the master address and start the shim's listener (and, with a
+    /// straggler threshold, its tick thread).
     pub fn start(
         transport: Arc<dyn Transport>,
         app: AppId,
@@ -233,7 +240,9 @@ impl MasterShim {
             app,
             addr,
             agg,
-            ctrl: ConnCache::new(transport, addr),
+            ctrl: ConnCache::new(transport.clone(), addr),
+            transport,
+            detector: OnceLock::new(),
             cfg,
             specs: specs.to_vec(),
             routes: OrderedMutex::new(lock_order::MASTER_ROUTES, routes),
@@ -286,14 +295,40 @@ impl MasterShim {
                 .map_err(|e| NetError::Io(e.to_string()))?;
         }
         if inner.cfg.straggler_threshold.is_some() {
-            let inner = inner.clone();
-            shim.scope
-                .spawn(format!("master-shim-{}-straggler", app.0), move || {
-                    straggler_loop(&inner)
-                })
-                .map_err(|e| NetError::Io(e.to_string()))?;
+            shim.spawn_tick().map_err(|e| NetError::Io(e.to_string()))?;
         }
         Ok(shim)
+    }
+
+    /// Arm failure detection of the root boxes: the tick probes every
+    /// child box the shim's routes hold and re-points around failures.
+    /// Starts the tick thread unless it already runs or there is no child
+    /// box to watch. Later calls are no-ops.
+    pub(crate) fn arm_failure_detection(&self, cfg: DetectorConfig) {
+        let ticking = self.inner.cfg.straggler_threshold.is_some();
+        if self.inner.detector.set(cfg).is_ok() && !ticking && !self.inner.watched().is_empty() {
+            self.spawn_tick().expect("spawn tick");
+        }
+    }
+
+    /// The master's timer thread: the straggler scan and the failure
+    /// detector.
+    fn spawn_tick(&self) -> std::io::Result<()> {
+        let inner = self.inner.clone();
+        let app = inner.app.0;
+        self.scope
+            .spawn(format!("master-shim-{app}-tick"), move || {
+                let inner = &inner;
+                let mut jobs = Vec::new();
+                if let Some(threshold) = inner.cfg.straggler_threshold {
+                    // Hierarchical thresholds: the master waits longer than the
+                    // boxes so box-level bypass (closer to the data) resolves
+                    // stragglers first.
+                    let scan = move || scan_stragglers(inner, threshold * 4);
+                    jobs.push(Job::every(threshold, scan));
+                }
+                tick::run(inner, &inner.cancel, jobs);
+            })
     }
 
     /// Register a request before (or while) workers send their partials.
@@ -482,74 +517,16 @@ impl MasterShim {
         Ok(())
     }
 
-    /// React to a confirmed root-box failure (called by the failure
-    /// detector): *move* the box's behind-sources into direct-to-master
-    /// ledger entries, for the route (future requests) and every
-    /// in-flight request. Idempotent under repeated detector firings,
-    /// straggler redirects racing the detector, and replayed duplicates.
+    /// React to a confirmed root-box failure on one tree: *move* the
+    /// box's behind-sources into direct-to-master ledger entries, for the
+    /// route (future requests) and every in-flight request, then tell the
+    /// box's children to send here permanently. Idempotent under repeated
+    /// firings, straggler redirects racing the detector, and replayed
+    /// duplicates.
     pub fn on_child_box_failed(&self, tree: TreeId, failed_box: u32) {
-        // Lock order: pending before routes (matches the reader path).
-        let mut pending = self.inner.pending.lock();
-        // Route-level idempotency: only the first firing finds the entry.
-        let Some(behind) = self
-            .inner
-            .routes
-            .lock()
-            .get_mut(&tree)
-            .and_then(|r| r.fail_child(failed_box))
-        else {
-            return;
-        };
-        let behind: Vec<(TreeId, SourceId)> = behind.into_iter().map(|s| (tree, s)).collect();
-        let mut repointed = 0u64;
-        let mut completed = 0u64;
-        for (rid, p) in pending.iter_mut() {
-            if p.complete {
-                continue;
-            }
-            let step = repoint_in_flight(&mut p.ledger, (tree, SourceId::Box(failed_box)), &behind);
-            if step.moved {
-                repointed += 1;
-                // Mark the adoption in the request's trace: the span tree
-                // stays connected across the failure because the replayed
-                // chunks' fresh ctx re-attaches here.
-                if let (Some(o), Some(t)) = (&self.inner.obs, p.trace) {
-                    let now = trace::now_ns();
-                    o.tracer.record_span(
-                        names::spans::MASTER_REPOINT,
-                        &o.component,
-                        t.trace_id,
-                        o.tracer.next_span_id(),
-                        t.trace_id,
-                        rid.0,
-                        now,
-                        now,
-                    );
-                }
-            }
-            if step.complete {
-                p.complete = true;
-                completed += 1;
-            }
-        }
-        if let Some(o) = &self.inner.obs {
-            // Count the route transition even when no request was in
-            // flight, so the audit trail always records the failure.
-            o.repoints.add(repointed.max(1));
-            o.requests_completed.add(completed);
-            o.registry.emit(
-                names::EVENT_REPOINT,
-                format!(
-                    "master shim (app {}) re-pointed failed box {} on tree {} \
-                     across {} in-flight requests",
-                    self.inner.app.0, failed_box, tree.0, repointed
-                ),
-            );
-            o.update_ledger_gauges(&pending);
-        }
-        if completed > 0 {
-            self.inner.cv.notify_all();
-        }
+        let inner = &self.inner;
+        let redirect = child_box_failed(inner, tree, failed_box).map(|c| (inner.app, tree, c));
+        tick::redirect(&inner.ctrl, inner.addr, redirect, inner.cfg.obs.as_ref());
     }
 
     /// The master shim's transport address.
@@ -841,79 +818,165 @@ fn reader_loop(inner: &Arc<Inner>, mut conn: Box<dyn Connection>) {
     }
 }
 
-/// Straggler bypass at the master, mirroring the agg-box logic: a root box
-/// that contributed nothing within the threshold (while other data flowed)
-/// is bypassed for that request.
-fn straggler_loop(inner: &Arc<Inner>) {
-    // Hierarchical thresholds: the master waits longer than the boxes so
-    // box-level bypass (closer to the data) resolves stragglers first.
-    let threshold = inner.cfg.straggler_threshold.expect("monitor enabled") * 4;
-    loop {
-        if inner.cancel.wait_timeout(threshold / 4) {
-            return;
+/// The shared root-box failure transition behind
+/// [`MasterShim::on_child_box_failed`] and the tick's failure detector.
+/// Returns the failed box's children, owed a permanent redirect, or
+/// `None` when the route no longer held the box.
+fn child_box_failed(inner: &Inner, tree: TreeId, failed_box: u32) -> Option<Vec<NodeId>> {
+    // Lock order: pending before routes (matches the reader path).
+    let mut pending = inner.pending.lock();
+    // Route-level idempotency: only the first firing finds the entry.
+    let (behind, children) = inner.routes.lock().get_mut(&tree).and_then(|r| {
+        let children = r.child_boxes.get(&failed_box)?.children_addrs.clone();
+        Some((r.fail_child(failed_box)?, children))
+    })?;
+    let behind: Vec<(TreeId, SourceId)> = behind.into_iter().map(|s| (tree, s)).collect();
+    let mut repointed = 0u64;
+    let mut completed = 0u64;
+    for (rid, p) in pending.iter_mut() {
+        if p.complete {
+            continue;
         }
-        let mut redirects: Vec<(RequestId, TreeId, Vec<NodeId>)> = Vec::new();
-        {
-            // Lock order: pending before routes (matches fresh_pending).
-            let mut pending = inner.pending.lock();
-            let routes = inner.routes.lock();
-            for (request, p) in pending.iter_mut() {
-                if p.complete || p.registered_at.elapsed() < threshold {
-                    continue;
-                }
-                for tree in trees_for_request(inner, *request) {
-                    let Some(route) = routes.get(&tree) else {
-                        continue;
-                    };
-                    let bypassed =
-                        select_stragglers(&mut p.ledger, &route.child_boxes, |s| (tree, s));
-                    redirects.extend(bypassed.into_iter().map(|(_, c)| (*request, tree, c)));
-                }
-            }
-        }
-        for (request, tree, children) in redirects {
-            if let Some(o) = &inner.obs {
-                o.master_bypasses.inc();
-                o.registry.emit_for_request(
-                    names::EVENT_STRAGGLER,
-                    format!(
-                        "master shim (app {}) bypassed a root box for request {} tree {}",
-                        inner.app.0, request.0, tree.0
-                    ),
-                    request.0,
+        let step = repoint_in_flight(&mut p.ledger, (tree, SourceId::Box(failed_box)), &behind);
+        if step.moved {
+            repointed += 1;
+            // Mark the adoption in the request's trace: the span tree
+            // stays connected across the failure because the replayed
+            // chunks' fresh ctx re-attaches here.
+            if let (Some(o), Some(t)) = (&inner.obs, p.trace) {
+                let now = trace::now_ns();
+                o.tracer.record_span(
+                    names::spans::MASTER_REPOINT,
+                    &o.component,
+                    t.trace_id,
+                    o.tracer.next_span_id(),
+                    t.trace_id,
+                    rid.0,
+                    now,
+                    now,
                 );
             }
-            let msg = Message::Redirect {
-                app: inner.app,
-                permanent: false,
-                request,
-                tree,
-                new_parent: inner.addr,
-            };
-            for child in children {
-                let _ = inner.ctrl.send(child, msg.encode());
-            }
         }
-        // Bypass may complete requests whose other sources already ended.
+        if step.complete {
+            p.complete = true;
+            completed += 1;
+        }
+    }
+    if let Some(o) = &inner.obs {
+        // Count the route transition even when no request was in
+        // flight, so the audit trail always records the failure.
+        o.repoints.add(repointed.max(1));
+        o.requests_completed.add(completed);
+        o.registry.emit(
+            names::EVENT_REPOINT,
+            format!(
+                "master shim (app {}) re-pointed failed box {} on tree {} \
+                 across {} in-flight requests",
+                inner.app.0, failed_box, tree.0, repointed
+            ),
+        );
+        o.update_ledger_gauges(&pending);
+    }
+    if completed > 0 {
+        inner.cv.notify_all();
+    }
+    Some(children)
+}
+
+impl Node for Arc<Inner> {
+    fn probes(&self) -> Option<Probes> {
+        let (transport, obs) = (self.transport.clone(), self.cfg.obs.clone());
+        self.detector
+            .get()
+            .map(|cfg| Probes::new(transport, self.addr, cfg, obs))
+    }
+
+    fn watched(&self) -> HashSet<u32> {
+        let routes = self.routes.lock();
+        routes
+            .values()
+            .flat_map(|r| r.child_boxes.keys().copied())
+            .collect()
+    }
+
+    fn fail_child_box(&self, box_id: u32) {
+        let held: Vec<TreeId> = self
+            .routes
+            .lock()
+            .iter()
+            .filter(|(_, r)| r.child_boxes.contains_key(&box_id))
+            .map(|(&tree, _)| tree)
+            .collect();
+        let redirects: Vec<Redirect> = held
+            .into_iter()
+            .filter_map(|tree| Some((self.app, tree, child_box_failed(self, tree, box_id)?)))
+            .collect();
+        tick::redirect(&self.ctrl, self.addr, redirects, self.cfg.obs.as_ref());
+    }
+}
+
+/// Straggler bypass at the master, mirroring the agg-box logic: a root box
+/// that contributed nothing within `threshold` (while other data flowed)
+/// is bypassed for that request.
+fn scan_stragglers(inner: &Inner, threshold: Duration) {
+    let mut redirects: Vec<(RequestId, TreeId, Vec<NodeId>)> = Vec::new();
+    {
+        // Lock order: pending before routes (matches fresh_pending).
         let mut pending = inner.pending.lock();
-        let mut completed = false;
-        for p in pending.values_mut() {
-            if p.complete {
+        let routes = inner.routes.lock();
+        for (request, p) in pending.iter_mut() {
+            if p.complete || p.registered_at.elapsed() < threshold {
                 continue;
             }
-            if p.ledger.is_complete() {
-                p.complete = true;
-                completed = true;
-                if let Some(o) = &inner.obs {
-                    o.requests_completed.inc();
-                }
+            for tree in trees_for_request(inner, *request) {
+                let Some(route) = routes.get(&tree) else {
+                    continue;
+                };
+                let bypassed = select_stragglers(&mut p.ledger, &route.child_boxes, |s| (tree, s));
+                redirects.extend(bypassed.into_iter().map(|(_, c)| (*request, tree, c)));
             }
         }
+    }
+    for (request, tree, children) in redirects {
         if let Some(o) = &inner.obs {
-            o.update_ledger_gauges(&pending);
+            o.master_bypasses.inc();
+            o.registry.emit_for_request(
+                names::EVENT_STRAGGLER,
+                format!(
+                    "master shim (app {}) bypassed a root box for request {} tree {}",
+                    inner.app.0, request.0, tree.0
+                ),
+                request.0,
+            );
         }
-        if completed {
-            inner.cv.notify_all();
+        let msg = Message::Redirect {
+            app: inner.app,
+            permanent: false,
+            request,
+            tree,
+            new_parent: inner.addr,
+        };
+        for child in children {
+            let _ = inner.ctrl.send(child, msg.encode());
         }
+    }
+    // Bypass may complete requests whose other sources already ended.
+    let mut pending = inner.pending.lock();
+    let mut completed = false;
+    for p in pending
+        .values_mut()
+        .filter(|p| !p.complete && p.ledger.is_complete())
+    {
+        p.complete = true;
+        completed = true;
+        if let Some(o) = &inner.obs {
+            o.requests_completed.inc();
+        }
+    }
+    if let Some(o) = &inner.obs {
+        o.update_ledger_gauges(&pending);
+    }
+    if completed {
+        inner.cv.notify_all();
     }
 }

@@ -14,6 +14,8 @@ use bytes::Bytes;
 use netagg_core::failure::DetectorConfig;
 use netagg_core::lifecycle::{CancelToken, JoinScope, DEFAULT_JOIN_DEADLINE};
 use netagg_core::prelude::*;
+use netagg_core::runtime::DeploymentConfig;
+use netagg_core::straggler::StragglerPolicy;
 use netagg_net::{ChannelTransport, DetRng, FaultController, FaultStep, FaultTransport, Transport};
 use netagg_obs::{names, MetricsRegistry};
 use std::sync::Arc;
@@ -61,78 +63,99 @@ fn fault_seed() -> u64 {
         .unwrap_or(0xAE57_11E5)
 }
 
+/// The deployments the teardown test drops: one with only the failure
+/// detector armed, and one with every timer armed (straggler policy and
+/// stream flush as well), so each node's tick runs all of its jobs.
+fn teardown_configs() -> [(&'static str, DeploymentConfig); 2] {
+    let every_timer = DeploymentConfig {
+        straggler: Some(StragglerPolicy::new(Duration::from_millis(20))),
+        flush_bytes: Some(1),
+        ..DeploymentConfig::default()
+    };
+    [
+        ("detector only", DeploymentConfig::default()),
+        ("every timer", every_timer),
+    ]
+}
+
 /// Drop an entire deployment mid-request while a seeded fault schedule
 /// kills the rack box at an arbitrary protocol moment. Every scoped thread
-/// (box listeners/readers/egress/flush/straggler, scheduler pool, shim
-/// listeners/readers, failure detectors) must join inside the scope
-/// deadline; a hung thread panics `finish()`, a harvested worker panic
-/// re-panics, and the shared `runtime.threads_active` gauge must read
-/// exactly zero afterwards — so a clean return proves all three.
+/// (box listeners/readers/egress/tick, scheduler pool, shim
+/// listeners/readers/tick) must join inside the scope deadline; a hung
+/// thread panics `finish()`, a harvested worker panic re-panics, and the
+/// shared `runtime.threads_active` gauge must read exactly zero
+/// afterwards — so a clean return proves all three.
 #[test]
 fn dropping_a_deployment_mid_request_joins_every_thread() {
     let seed = fault_seed();
     let mut rng = DetRng::new(seed);
-    for round in 0..4u64 {
-        let n = rng.gen_range(1, 10);
-        let ctl = FaultController::new();
-        let transport: Arc<dyn Transport> =
-            Arc::new(FaultTransport::new(ChannelTransport::new(), ctl.clone()));
-        let cluster = ClusterSpec::single_rack(3, 1);
-        let mut dep = NetAggDeployment::launch(transport, &cluster).unwrap();
-        // Clone the registry out *before* teardown: gauges are shared, so
-        // it keeps reporting after the deployment itself is gone.
-        let obs = dep.obs().clone();
-        let app = dep.register_app("sum", sum_agg(), 1.0);
-        let master = dep.master_shim(app);
-        let workers: Vec<_> = (0..3).map(|w| dep.worker_shim(app, w)).collect();
-        dep.enable_failure_detection(fast_detector());
-        let box_addr = dep.boxes()[0].addr();
-
-        let live = obs.gauge("runtime.threads_active").get();
-        assert!(
-            live > 0.0,
-            "seed {seed:#x} round {round}: expected live scoped threads before teardown"
-        );
-
-        // Kill the box after a seeded number of further frames, so teardown
-        // races an in-flight failure at arbitrary protocol moments.
-        ctl.schedule(FaultStep {
-            watch: box_addr,
-            after_frames: ctl.frames_delivered(box_addr) + n,
-            kill_target: box_addr,
-        });
-
-        let req = round + 1;
-        let pending = master.register_request(req, 3);
-        for (i, w) in workers.iter().enumerate() {
-            // Sends may fail once the box dies; teardown must cope anyway.
-            let _ = w.send_partial(req, Bytes::from((i as i64 + 1).to_string()));
+    for (label, cfg) in teardown_configs() {
+        for round in 0..4u64 {
+            teardown_round(seed, &mut rng, label, cfg.clone(), round);
         }
-        // Deliberately do NOT wait for the request: the whole point is to
-        // tear down with the aggregation (and possibly a replay) in flight.
-        drop(pending);
-
-        let t0 = Instant::now();
-        drop(workers);
-        drop(master);
-        drop(dep);
-        let elapsed = t0.elapsed();
-
-        // Cancellation wakes blocked threads instead of being polled, so
-        // teardown should be nowhere near the join deadline; allow slack
-        // for one detector round plus scheduling noise on a loaded CI box.
-        assert!(
-            elapsed < DEFAULT_JOIN_DEADLINE + Duration::from_secs(3),
-            "seed {seed:#x} round {round} (kill after {n} frames): \
-             teardown took {elapsed:?}"
-        );
-        let remaining = obs.gauge("runtime.threads_active").get();
-        assert_eq!(
-            remaining, 0.0,
-            "seed {seed:#x} round {round} (kill after {n} frames): \
-             {remaining} scoped threads still alive after full teardown"
-        );
     }
+}
+
+fn teardown_round(seed: u64, rng: &mut DetRng, label: &str, cfg: DeploymentConfig, round: u64) {
+    let n = rng.gen_range(1, 10);
+    let ctl = FaultController::new();
+    let transport: Arc<dyn Transport> =
+        Arc::new(FaultTransport::new(ChannelTransport::new(), ctl.clone()));
+    let cluster = ClusterSpec::single_rack(3, 1);
+    let mut dep = NetAggDeployment::launch_with(transport, &cluster, cfg).unwrap();
+    // Clone the registry out *before* teardown: gauges are shared, so
+    // it keeps reporting after the deployment itself is gone.
+    let obs = dep.obs().clone();
+    let app = dep.register_app("sum", sum_agg(), 1.0);
+    let master = dep.master_shim(app);
+    let workers: Vec<_> = (0..3).map(|w| dep.worker_shim(app, w)).collect();
+    dep.enable_failure_detection(fast_detector());
+    let box_addr = dep.boxes()[0].addr();
+
+    let live = obs.gauge("runtime.threads_active").get();
+    assert!(
+        live > 0.0,
+        "seed {seed:#x} {label} round {round}: expected live scoped threads before teardown"
+    );
+
+    // Kill the box after a seeded number of further frames, so teardown
+    // races an in-flight failure at arbitrary protocol moments.
+    ctl.schedule(FaultStep {
+        watch: box_addr,
+        after_frames: ctl.frames_delivered(box_addr) + n,
+        kill_target: box_addr,
+    });
+
+    let req = round + 1;
+    let pending = master.register_request(req, 3);
+    for (i, w) in workers.iter().enumerate() {
+        // Sends may fail once the box dies; teardown must cope anyway.
+        let _ = w.send_partial(req, Bytes::from((i as i64 + 1).to_string()));
+    }
+    // Deliberately do NOT wait for the request: the whole point is to
+    // tear down with the aggregation (and possibly a replay) in flight.
+    drop(pending);
+
+    let t0 = Instant::now();
+    drop(workers);
+    drop(master);
+    drop(dep);
+    let elapsed = t0.elapsed();
+
+    // Cancellation wakes blocked threads instead of being polled, so
+    // teardown should be nowhere near the join deadline; allow slack
+    // for one detector round plus scheduling noise on a loaded CI box.
+    assert!(
+        elapsed < DEFAULT_JOIN_DEADLINE + Duration::from_secs(3),
+        "seed {seed:#x} {label} round {round} (kill after {n} frames): \
+         teardown took {elapsed:?}"
+    );
+    let remaining = obs.gauge("runtime.threads_active").get();
+    assert_eq!(
+        remaining, 0.0,
+        "seed {seed:#x} {label} round {round} (kill after {n} frames): \
+         {remaining} scoped threads still alive after full teardown"
+    );
 }
 
 /// Fault-free variant fencing the wakeup path itself: with nothing dead and

@@ -273,12 +273,13 @@ fn detector_firing_twice_for_same_box_is_idempotent() {
     let p = master.register_request(1, 3);
     workers[0].send_partial(1, Bytes::from("5")).unwrap();
     workers[1].send_partial(1, Bytes::from("7")).unwrap();
-    // Spurious firing BEFORE the box actually dies…
+    // Spurious firing BEFORE the box actually dies (it re-points the
+    // workers itself; the box has left the route, so the detector no
+    // longer watches it)…
     master.on_child_box_failed(TreeId(0), 0);
     ctl.kill(dep.boxes()[0].addr());
-    // …the real detector firing while the box is down…
     wait_assignments(&workers, master.addr(), Duration::from_secs(8));
-    // …and a third, late firing after recovery already happened.
+    // …and a second, late firing after recovery already happened.
     master.on_child_box_failed(TreeId(0), 0);
     workers[2].send_partial(1, Bytes::from("11")).unwrap();
     let result = p.wait(Duration::from_secs(10)).unwrap();

@@ -90,8 +90,6 @@ pub const AGG_ROUTES: LockRank = LockRank::new(44, "agg.routes");
 pub const AGG_OUT_REDIRECTS: LockRank = LockRank::new(46, "agg.out_redirects");
 /// Upward replay buffer (taken under `agg.states` on completion).
 pub const AGG_OUT_REPLAY: LockRank = LockRank::new(48, "agg.out_replay");
-/// Straggler bypass counters per (request, child box).
-pub const AGG_STRAGGLER: LockRank = LockRank::new(50, "agg.straggler");
 
 // --- agg-box scheduler (60–69) ---------------------------------------------
 
